@@ -96,7 +96,7 @@ def invert_epilogue(bundle: AnsatzBundle, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (1 << bundle.config.num_qubits,):
         raise ValueError("target length does not match qubit count")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:
         raise ValueError("target is not L2-normalized")
     t = x.astype(complex)
     for q, factor in enumerate(bundle.epilogue_factors):

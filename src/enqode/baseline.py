@@ -80,7 +80,7 @@ def synthesize_exact(x) -> Circuit:
     x = x.astype(float)
     if x.ndim != 1 or x.size < 2 or x.size & (x.size - 1):
         raise ValueError(f"target length must be a power of two >= 2, got {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:
         raise ValueError("target must be L2-normalized")
     n = x.size.bit_length() - 1
 

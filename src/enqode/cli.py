@@ -277,6 +277,7 @@ def cmd_compare(config: RunConfig) -> int:
                   file=sys.stderr)
         return EXIT_ALL_FAILED
 
+    failures.sort(key=lambda failure: failure["sample_id"])
     metadata = {"seed": config.seed, "config": config.echo()}
     report = build_report(rows, metadata, failures=failures or None)
     os.makedirs(config.out, exist_ok=True)
@@ -300,9 +301,24 @@ def cmd_compare(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _require_keys(doc, keys: tuple[str, ...], what: str) -> None:
+    """Reject a document part that is not an object or lacks a key we read."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} is missing key '{key}'")
+
+
 def _inspect_library(doc: dict) -> None:
+    _require_keys(doc, ("config", "clusters", "fingerprint", "offline_seconds"), "library")
     config = doc["config"]
     clusters = doc["clusters"]
+    _require_keys(config, ("num_qubits", "layers"), "library config")
+    if not isinstance(clusters, list):
+        raise ValueError("library clusters must be a JSON list")
+    for entry in clusters:
+        _require_keys(entry, ("id", "train_fidelity"), "library cluster")
     print(f"trained library: {len(clusters)} clusters, "
           f"{config['num_qubits']} qubits x {config['layers']} layers")
     print(f"dataset fingerprint {doc['fingerprint'][:16]}..., "
@@ -325,8 +341,18 @@ def _inspect_circuit(doc: dict) -> None:
         print(f"  {gate.kind.value} {list(gate.qubits)}{angle}{slot}")
 
 
+_METHOD_STATS = ("depth_mean", "depth_std", "ideal_fidelity_mean", "noisy_fidelity_mean")
+
+
 def _inspect_report(doc: dict) -> None:
+    _require_keys(doc, ("schema_version", "aggregate"), "report")
     agg = doc["aggregate"]
+    _require_keys(agg, ("samples_compared",), "report aggregate")
+    for method in (METHOD_ANSATZ, METHOD_BASELINE):
+        if method in agg:
+            _require_keys(agg[method], _METHOD_STATS, f"report aggregate '{method}'")
+    if not isinstance(agg.get("ratios", {}), dict):
+        raise ValueError("report ratios must be a JSON object")
     print(f"comparison report (schema v{doc['schema_version']}), "
           f"{agg['samples_compared']} samples compared")
     for method in (METHOD_ANSATZ, METHOD_BASELINE):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -62,6 +63,10 @@ def load_csv(path, has_label_column: bool = False) -> Dataset:
                 if lineno == 1:
                     continue  # header row
                 raise ValueError(f"{path}: non-numeric cell on line {lineno}: {err}") from None
+            for col, value in enumerate(parsed, start=1):
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: non-finite cell on line {lineno}, column {col}: {cells[col - 1]!r}")
             if width is None:
                 width = len(parsed)
             elif len(parsed) != width:
@@ -137,8 +142,11 @@ def subsample_per_class(data: Dataset, per_class: int, seed: int = 0) -> Dataset
 
 
 def l2_normalize(data: Dataset) -> Dataset:
-    """Scale each row to unit Euclidean norm; a zero row is an error."""
+    """Scale each row to unit Euclidean norm; a zero or non-finite row is an error."""
     norms = np.linalg.norm(data.values, axis=1)
+    bad = np.where(~np.isfinite(norms))[0]
+    if bad.size:
+        raise ValueError(f"row {bad[0]} has a non-finite norm and cannot be normalized")
     zero = np.where(norms == 0.0)[0]
     if zero.size:
         raise ValueError(f"row {zero[0]} has zero norm and cannot be normalized")

@@ -80,7 +80,7 @@ def _bundle_for(config: AnsatzConfig) -> AnsatzBundle:
 
 def _check_unit_rows(data: np.ndarray) -> None:
     norms = np.linalg.norm(data, axis=1)
-    bad = np.where(np.abs(norms - 1.0) > 1e-8)[0]
+    bad = np.where(~(np.abs(norms - 1.0) <= 1e-8))[0]  # NaN fails too
     if bad.size:
         raise ValueError(f"row {bad[0]} is not L2-normalized (norm {norms[bad[0]]:.6g})")
 
@@ -224,7 +224,7 @@ def embed_online(x, library: TrainedLibrary, opts: OptimizerOptions = OptimizerO
     config = library.config
     if x.shape != (1 << config.num_qubits,):
         raise ValueError(f"sample length {x.shape} does not match {1 << config.num_qubits}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:
         raise ValueError("sample must be L2-normalized")
 
     dots = np.array([model.centroid @ x for model in library.clusters])

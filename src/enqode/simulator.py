@@ -1,9 +1,23 @@
 """Dense statevector and density-matrix simulation with depolarizing noise.
 
-Statevector evolution is exact gate-by-gate application from |0...0>. The
-noisy simulator evolves a density matrix and applies a depolarizing channel
-on each physical gate's support; RZ is treated as a virtual frame change and
-evolves unitarily with no channel. Qubit q is bit q of the basis index.
+Both simulators share one kernel, `_apply`: the state is viewed as a tensor
+of 2s, the axes a gate touches are moved to the front by a cached
+permutation, one matrix product applies the operator, and the inverse
+permutation restores the layout. Qubit q is bit q of the basis index, so it
+is tensor axis n-1-q of a statevector.
+
+The statevector simulator applies each gate unitary at rank n. The noisy
+simulator evolves the density matrix as a rank-2n tensor (row axes, then
+column axes) and applies each physical gate together with its depolarizing
+channel as one d^2 x d^2 superoperator, (1-p) U (x) conj(U) plus p/d on the
+entries that map the support's trace onto its identity.
+
+RZ is a noiseless virtual frame change. Instead of a pass of its own, each
+RZ is held as a pending diagonal on its qubit and folded into the unitary of
+the next physical gate that touches that qubit; what is still pending at
+the end is applied as one elementwise phase pass. This is exact: the RZ
+commutes with every gate and channel off its qubit, and a depolarizing
+channel on support S commutes with any unitary on S.
 
 Density matrices are capped at 10 qubits (a 1024 x 1024 complex matrix);
 the intended working size is 8.
@@ -79,13 +93,29 @@ def gate_matrix(gate: Gate, theta: np.ndarray | None = None) -> np.ndarray:
     }[gate.kind]
 
 
+@lru_cache(maxsize=1024)
+def _permutation(axes: tuple[int, ...], rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order putting `axes` first (the rest keep their order), and its inverse."""
+    forward = axes + tuple(a for a in range(rank) if a not in axes)
+    inverse = tuple(int(i) for i in np.argsort(forward))
+    return forward, inverse
+
+
+def _apply(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...], rank: int) -> np.ndarray:
+    """op applied to `axes` of `tensor` viewed as a rank-`rank` tensor of 2s.
+
+    axes[0] is the most significant bit of op's index. Returns a new
+    contiguous array shaped like `tensor`.
+    """
+    forward, inverse = _permutation(axes, rank)
+    moved = tensor.reshape((2,) * rank).transpose(forward).reshape(op.shape[1], -1)
+    out = (op @ moved).reshape((2,) * rank).transpose(inverse)
+    return np.ascontiguousarray(out).reshape(tensor.shape)
+
+
 def apply_unitary(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply u on the given qubits of a statevector (qubit q = index bit q)."""
-    m = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    tensor = np.moveaxis(state.reshape([2] * n), axes, range(m))
-    tensor = (u @ tensor.reshape(2**m, -1)).reshape([2] * m + [2] * (n - m))
-    return np.moveaxis(tensor, range(m), axes).reshape(-1)
+    return _apply(state, u, tuple(n - 1 - q for q in qubits), n).reshape(-1)
 
 
 def simulate_ideal(circuit: Circuit, theta: np.ndarray | None = None) -> np.ndarray:
@@ -137,68 +167,31 @@ class DensityMatrix:
             raise ValueError("density matrix is not positive semidefinite")
 
 
-@lru_cache(maxsize=256)
-def _support_indices(qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Row (d, 2^(n-m)) of basis indices grouped by support value s, where
-    s uses the same bit order as gate matrices: s bit (m-1-j) = qubits[j]."""
-    m = len(qubits)
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    idx = np.arange(1 << n)
-    rest = idx[idx & mask == 0]
-    rows = []
-    for s in range(1 << m):
-        offset = 0
-        for j, q in enumerate(qubits):
-            if (s >> (m - 1 - j)) & 1:
-                offset |= 1 << q
-        rows.append(rest | offset)
-    out = np.stack(rows)
-    out.flags.writeable = False
-    return out
-
-
-def _evolve_gate(rho: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """rho -> U rho U^dag followed by the depolarizing channel
-    rho -> (1-p) rho + p (I/d (x) tr_support rho) on the gate support.
-
-    Row indices with equal support value form d contiguous-gather slabs
-    mixed by one GEMM; the column side reuses the row code after a
-    transpose copy: (conj(U) (U rho)^T)^T = U rho U^dag. Diagonal gates
-    (RZ) skip the slab machinery for a fused elementwise pass.
-    """
-    groups = _support_indices(qubits, n)
-    d = len(groups)
-    if not np.any(u - np.diag(np.diagonal(u))):
-        phases = np.empty(1 << n, dtype=complex)
-        for s in range(d):
-            phases[groups[s]] = u[s, s]
-        rho = phases[:, None] * rho
-        rho *= phases.conj()[None, :]
-    else:
-        flat = groups.reshape(-1)
-        for mat in (u, u.conj()):
-            slabs = rho[flat].reshape(d, -1)
-            rho[flat] = (mat @ slabs).reshape(flat.size, -1)
-            rho = np.ascontiguousarray(rho.T)
-    if p != 0.0:
-        traced = rho[np.ix_(groups[0], groups[0])].copy()
-        for s in range(1, d):
-            traced += rho[np.ix_(groups[s], groups[s])]
-        rho *= 1.0 - p
-        scale = p / d
-        for s in range(d):
-            rho[np.ix_(groups[s], groups[s])] += scale * traced
-    return rho
+def _superoperator(u: np.ndarray, p: float) -> np.ndarray:
+    """rho -> (1-p) U rho U^dag + p (I/d (x) tr_support rho) on the support,
+    as a matrix on row-major vec(rho): index = d*row + column."""
+    d = u.shape[0]
+    sop = (1.0 - p) * np.kron(u, u.conj())
+    trace = np.arange(d) * (d + 1)
+    sop[np.ix_(trace, trace)] += p / d
+    return sop
 
 
 _PHYSICAL_BASIS = frozenset({GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX, GateKind.ECR})
+_I2 = np.eye(2, dtype=complex)
+
+
+def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
 
 
 def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel) -> DensityMatrix:
     """Density-matrix evolution with a depolarizing channel after each
-    physical gate (p1 on one-qubit support, p2 on two-qubit support)."""
+    physical gate (p1 on one-qubit support, p2 on two-qubit support); RZ
+    folds into the next physical gate on its qubit (see the module notes)."""
     n = circuit.num_qubits
     if n > _MAX_DENSITY_QUBITS:
         raise ValueError(f"density simulation capped at {_MAX_DENSITY_QUBITS} qubits")
@@ -212,12 +205,27 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
 
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     rho[0, 0] = 1.0
+    pending: dict[int, np.ndarray] = {}  # qubit -> product of unapplied RZs
+    fixed: dict[GateKind, np.ndarray] = {}  # superoperators of angle-free gates
     for gate in circuit.gates:
         if gate.is_virtual:
-            p = 0.0
+            q = gate.qubits[0]
+            pending[q] = gate_matrix(gate, theta) @ pending.get(q, _I2)
+            continue
+        p = noise.p2 if gate.kind in TWO_QUBIT_KINDS else noise.p1
+        folded = [pending.pop(q, None) for q in gate.qubits]
+        if any(f is not None for f in folded):
+            u = gate_matrix(gate, theta) @ _kron_all([_I2 if f is None else f for f in folded])
+            sop = _superoperator(u, p)
         else:
-            p = noise.p2 if gate.kind in TWO_QUBIT_KINDS else noise.p1
-        rho = _evolve_gate(rho, gate_matrix(gate, theta), gate.qubits, p, n)
+            sop = fixed.get(gate.kind)
+            if sop is None:
+                sop = fixed[gate.kind] = _superoperator(gate_matrix(gate), p)
+        axes = tuple(n - 1 - q for q in gate.qubits)
+        rho = _apply(rho, sop, axes + tuple(a + n for a in axes), 2 * n)
+    if pending:
+        phases = _kron_all([np.diagonal(pending.get(q, _I2)) for q in reversed(range(n))])
+        rho = phases[:, None] * rho * phases.conj()[None, :]
     return DensityMatrix(n, rho)
 
 

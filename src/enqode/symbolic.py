@@ -128,7 +128,7 @@ class OverlapModel:
         if self.target.shape != (self.state.dim,):
             raise ValueError("target length does not match state dimension")
         norm = np.linalg.norm(self.target)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"target is not normalized (norm {norm})")
 
     def loss_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -145,3 +145,98 @@ def finite_difference_grad(fn, theta, h=1e-6):
 
 def states_match(a, b, tol):
     return np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol
+
+
+# ------------------------------------------------ statevector reference
+
+
+def reference_apply_unitary(state, u, qubits, n):
+    """The moveaxis statevector update the package used before its shared
+    tensor kernel, kept verbatim as the bit-for-bit reference."""
+    m = len(qubits)
+    axes = [n - 1 - q for q in qubits]
+    tensor = np.moveaxis(state.reshape([2] * n), axes, range(m))
+    tensor = (u @ tensor.reshape(2**m, -1)).reshape([2] * m + [2] * (n - m))
+    return np.moveaxis(tensor, range(m), axes).reshape(-1)
+
+
+# ------------------------------------------------- noisy density reference
+#
+# The gather/scatter density-matrix evolution the package used before its
+# shared tensor kernel, kept verbatim as the exactness reference for
+# `simulate_noisy`. Self-contained: gate matrices are written out here and
+# gates are read only through their `kind.value`, `qubits`, `angle` and
+# `slot` attributes.
+
+_REFERENCE_FIXED = {
+    "SX": SX,
+    "X": X,
+    "CX": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "ECR": ECR,
+}
+
+
+def _reference_support_indices(qubits, n):
+    """Row (d, 2^(n-m)) of basis indices grouped by support value s, where
+    s uses the same bit order as gate matrices: s bit (m-1-j) = qubits[j]."""
+    m = len(qubits)
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    idx = np.arange(1 << n)
+    rest = idx[idx & mask == 0]
+    rows = []
+    for s in range(1 << m):
+        offset = 0
+        for j, q in enumerate(qubits):
+            if (s >> (m - 1 - j)) & 1:
+                offset |= 1 << q
+        rows.append(rest | offset)
+    return np.stack(rows)
+
+
+def _reference_evolve_gate(rho, u, qubits, p, n):
+    """rho -> U rho U^dag followed by the depolarizing channel
+    rho -> (1-p) rho + p (I/d (x) tr_support rho) on the gate support."""
+    groups = _reference_support_indices(qubits, n)
+    d = len(groups)
+    if not np.any(u - np.diag(np.diagonal(u))):
+        phases = np.empty(1 << n, dtype=complex)
+        for s in range(d):
+            phases[groups[s]] = u[s, s]
+        rho = phases[:, None] * rho
+        rho *= phases.conj()[None, :]
+    else:
+        flat = groups.reshape(-1)
+        for mat in (u, u.conj()):
+            slabs = rho[flat].reshape(d, -1)
+            rho[flat] = (mat @ slabs).reshape(flat.size, -1)
+            rho = np.ascontiguousarray(rho.T)
+    if p != 0.0:
+        traced = rho[np.ix_(groups[0], groups[0])].copy()
+        for s in range(1, d):
+            traced += rho[np.ix_(groups[s], groups[s])]
+        rho *= 1.0 - p
+        scale = p / d
+        for s in range(d):
+            rho[np.ix_(groups[s], groups[s])] += scale * traced
+    return rho
+
+
+def reference_noisy_density(num_qubits, gates, p1, p2, theta=None):
+    """Density matrix of a basis-lowered gate list (RZ, SX, X, CX, ECR) from
+    |0...0><0...0|, with a depolarizing channel of rate p1 / p2 after every
+    one- / two-qubit physical gate and none after RZ."""
+    n = num_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in gates:
+        kind = gate.kind.value
+        if kind == "RZ":
+            angle = gate.angle if gate.angle is not None else float(theta[gate.slot])
+            u, p = rz(angle), 0.0
+        else:
+            u = _REFERENCE_FIXED[kind]
+            p = p2 if len(gate.qubits) == 2 else p1
+        rho = _reference_evolve_gate(rho, u, tuple(gate.qubits), p, n)
+    return rho

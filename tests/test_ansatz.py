@@ -85,6 +85,8 @@ def test_invert_epilogue_rejects_unnormalized():
         invert_epilogue(bundle, np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         invert_epilogue(bundle, np.ones(8) / np.sqrt(8))
+    with pytest.raises(ValueError, match="normalized"):
+        invert_epilogue(bundle, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
 def test_generator_output_has_zero_loss_at_generator():

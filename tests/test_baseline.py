@@ -82,6 +82,8 @@ def test_synthesize_rejects_bad_targets():
         synthesize_exact(np.array([1.0]))  # scalar state
     with pytest.raises(ValueError):
         synthesize_exact(np.array([0.8, 0.8]))  # unnormalized
+    with pytest.raises(ValueError, match="normalized"):
+        synthesize_exact(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         synthesize_exact(np.array([1.0 + 0.0j, 0.0]))  # complex dtype
 

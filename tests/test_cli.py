@@ -1,11 +1,13 @@
 """End-to-end command tests: exit codes, artifacts, config merging, inspect."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 import datasets
+from enqode import cli
 from enqode.circuit import Circuit, to_json
 from enqode.cli import EXIT_ALL_FAILED, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from enqode.dataio import load_csv
@@ -100,6 +102,24 @@ def test_prepare_impossible_target_dims_exits_2(tmp_path, capsys):
         capsys)
     assert code == EXIT_INPUT
     assert "target_dims 4 exceeds" in stderr
+
+
+def test_prepare_rejects_nan_cell_with_one_line_message(tmp_path, capsys):
+    values, _ = datasets.clustered_dataset(num_qubits=2, per_cluster=4, seed=0)
+    raw = _write_csv(tmp_path / "raw.csv", values)
+    lines = (tmp_path / "raw.csv").read_text().splitlines()
+    cells = lines[6].split(",")
+    cells[2] = "nan"
+    lines[6] = ",".join(cells)
+    (tmp_path / "raw.csv").write_text("\n".join(lines) + "\n")
+    assert len(lines) == 12 and len(cells) == 4
+    out = tmp_path / "run"
+    code, stdout, stderr = run_cli(["prepare", raw, "--qubits", "2", "--out", str(out)], capsys)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert "non-finite cell on line 7, column 3" in stderr
+    assert not (out / "prepared.csv").exists()
 
 
 def test_unknown_config_keys_exit_2(tmp_path, capsys):
@@ -221,6 +241,34 @@ def test_compare_partial_failure_warns_but_succeeds(tmp_path, capsys):
     assert report["metadata"]["failures"][0]["sample_id"] == 6
 
 
+def test_compare_failures_are_in_sample_order_at_any_timing(tmp_path, capsys, monkeypatch):
+    out = _trained(tmp_path, capsys)
+    mixed = _mixed_csv(tmp_path)
+    real = cli._compare_one
+
+    def flaky(sample_id, *rest):
+        if sample_id == 1:
+            time.sleep(0.2)  # finishes after sample 4 fails on the other worker
+            raise RuntimeError("injected failure in sample 1")
+        if sample_id == 4:
+            raise RuntimeError("injected failure in sample 4")
+        return real(sample_id, *rest)
+
+    monkeypatch.setattr(cli, "_compare_one", flaky)
+    args = ["--qubits", "2", "--layers", "2", "--out", out, "--jobs", "2"]
+    reports = []
+    for _ in range(2):
+        code, _, stderr = run_cli(["compare", mixed, f"{out}/library.json", *args], capsys)
+        assert code == EXIT_OK
+        assert "2 of 14 samples failed" in stderr
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        reports.append(json.dumps(strip_volatile(report), sort_keys=True))
+        failures = report["metadata"]["failures"]
+        assert [f["sample_id"] for f in failures] == [1, 4]
+        assert failures[0]["error"] == "injected failure in sample 1"
+    assert reports[0] == reports[1]
+
+
 def test_compare_all_failed_exits_4(tmp_path, capsys):
     out = _trained(tmp_path, capsys)
     library = json.loads((tmp_path / "run" / "library.json").read_text())
@@ -277,6 +325,44 @@ def test_inspect_recognizes_all_documents(tmp_path, capsys):
     code, _, stderr = run_cli(["inspect", str(unknown)], capsys)
     assert code == EXIT_INPUT
     assert "not a library, circuit, or report" in stderr
+
+
+def test_inspect_rejects_documents_missing_keys(tmp_path, capsys):
+    out = _trained(tmp_path, capsys)
+    mixed = _mixed_csv(tmp_path)
+    args = ["--qubits", "2", "--layers", "2", "--out", out]
+    run_cli(["compare", mixed, f"{out}/library.json", *args], capsys)
+
+    library = json.loads((tmp_path / "run" / "library.json").read_text())
+    del library["config"]
+    broken = tmp_path / "no_config.json"
+    broken.write_text(json.dumps(library))
+    code, stdout, stderr = run_cli(["inspect", str(broken)], capsys)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr == "error: library is missing key 'config'\n"
+
+    library = json.loads((tmp_path / "run" / "library.json").read_text())
+    del library["clusters"][0]["train_fidelity"]
+    broken.write_text(json.dumps(library))
+    code, _, stderr = run_cli(["inspect", str(broken)], capsys)
+    assert code == EXIT_INPUT
+    assert stderr == "error: library cluster is missing key 'train_fidelity'\n"
+
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    del report["schema_version"]
+    broken.write_text(json.dumps(report))
+    code, _, stderr = run_cli(["inspect", str(broken)], capsys)
+    assert code == EXIT_INPUT
+    assert stderr == "error: report is missing key 'schema_version'\n"
+
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    del report["aggregate"]["baseline"]["depth_std"]
+    broken.write_text(json.dumps(report))
+    code, _, stderr = run_cli(["inspect", str(broken)], capsys)
+    assert code == EXIT_INPUT
+    assert "'baseline' is missing key 'depth_std'" in stderr
+    assert "Traceback" not in stderr
 
 
 # -- config merging ----------------------------------------------------------

@@ -58,6 +58,16 @@ def test_load_csv_errors_name_the_line(tmp_path):
         load_csv(empty)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = _write(tmp_path / "n.csv", f"1,2,3\n4,{cell},6\n")
+    with pytest.raises(ValueError, match="non-finite cell on line 2, column 2"):
+        load_csv(path)
+    labeled = _write(tmp_path / "l.csv", f"1,2,0\n4,5,{cell}\n")
+    with pytest.raises(ValueError, match="line 2, column 3"):
+        load_csv(labeled, has_label_column=True)
+
+
 # -- pca_reduce --------------------------------------------------------------
 
 
@@ -198,6 +208,13 @@ def test_l2_normalize_names_zero_row():
     values = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="row 1"):
         l2_normalize(Dataset(values=values))
+
+
+def test_l2_normalize_rejects_non_finite_rows():
+    for bad in (np.nan, np.inf):
+        values = np.array([[1.0, 0.0], [0.5, 0.5], [bad, 1.0]])
+        with pytest.raises(ValueError, match="row 2 has a non-finite norm"):
+            l2_normalize(Dataset(values=values))
 
 
 # -- persistence -------------------------------------------------------------

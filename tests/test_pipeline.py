@@ -72,6 +72,10 @@ def test_cluster_input_validation():
         cluster(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         cluster(np.ones((3, 4)))  # rows not unit norm
+    with_nan = np.eye(4)
+    with_nan[2, 1] = np.nan
+    with pytest.raises(ValueError, match="row 2"):
+        cluster(with_nan)
     data = np.eye(4)
     with pytest.raises(ValueError):
         cluster(data, k_max=0)
@@ -182,6 +186,10 @@ def test_embed_online_validates_input():
     bad = np.full(8, 0.5)
     with pytest.raises(ValueError):
         embed_online(bad, library)  # not unit norm
+    nan_sample = datasets.product_state([0.1, 0.2, 0.3])
+    nan_sample[5] = np.nan
+    with pytest.raises(ValueError, match="L2-normalized"):
+        embed_online(nan_sample, library)
     empty = library_from_json(json.dumps({
         "config": {"num_qubits": 3, "layers": 3},
         "fingerprint": "",

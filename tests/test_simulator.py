@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from enqode.ansatz import AnsatzConfig, apply_epilogue, build
+from enqode.baseline import BasisConfig, compile_exact
 from enqode.circuit import Circuit, Gate, GateKind
 from enqode.simulator import (
     DensityMatrix,
     NoiseModel,
+    apply_unitary,
     fidelity_to_pure,
     gate_matrix,
     pure_density,
@@ -215,3 +217,126 @@ def test_density_matrix_validation():
     skew = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         DensityMatrix(1, skew)  # not Hermitian
+
+
+# ------------------------------------ equivalence with the reference paths
+
+
+def _random_physical_circuit(rng, num_qubits, length, two_qubit, slots=0):
+    """Basis-lowered gates with runs of 0-3 RZ in front of every physical
+    gate, on either qubit of two-qubit gates, and a trailing RZ run. With
+    `slots`, RZs draw a parameter slot instead of an angle half the time."""
+    c = Circuit(num_qubits)
+
+    def rz_run(qubits):
+        for _ in range(int(rng.integers(4))):
+            q = int(rng.choice(qubits))
+            if slots and rng.random() < 0.5:
+                c.rz(q, slot=int(rng.integers(slots)))
+            else:
+                c.rz(q, angle=float(rng.uniform(-np.pi, np.pi)))
+
+    for _ in range(length):
+        if num_qubits >= 2 and rng.random() < 0.5:
+            a, b = (int(v) for v in rng.choice(num_qubits, size=2, replace=False))
+            rz_run([a, b])
+            c.append(Gate(two_qubit, (a, b)))
+        else:
+            q = int(rng.integers(num_qubits))
+            rz_run([q])
+            c.append(Gate(GateKind.SX if rng.random() < 0.7 else GateKind.X, (q,)))
+    rz_run(list(range(num_qubits)))
+    if slots:
+        c.num_params = slots
+    return c
+
+
+def _max_diff_to_reference(circuit, noise, theta=None):
+    got = simulate_noisy(circuit, theta, noise).data
+    expected = oracles.reference_noisy_density(
+        circuit.num_qubits, circuit.gates, noise.p1, noise.p2, theta)
+    return float(np.max(np.abs(got - expected)))
+
+
+_NOISES = (NoiseModel(0.0, 0.0), NoiseModel(), NoiseModel(0.03, 0.08))
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+def test_noisy_matches_reference_on_random_lowered_circuits(num_qubits, two_qubit):
+    rng = np.random.default_rng([num_qubits, 2 if two_qubit is GateKind.CX else 3])
+    for noise in _NOISES:
+        for _ in range(3):
+            circuit = _random_physical_circuit(rng, num_qubits, 30, two_qubit)
+            assert _max_diff_to_reference(circuit, noise) <= 1e-12
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+def test_noisy_matches_reference_with_parameter_slots(two_qubit):
+    rng = np.random.default_rng(44)
+    for num_qubits in (1, 3, 5):
+        circuit = _random_physical_circuit(rng, num_qubits, 25, two_qubit, slots=6)
+        theta = rng.uniform(-np.pi, np.pi, size=6)
+        for noise in _NOISES:
+            assert _max_diff_to_reference(circuit, noise, theta) <= 1e-12
+
+
+def test_noisy_matches_reference_on_rz_only_circuits():
+    rng = np.random.default_rng(45)
+    for num_qubits in (1, 2, 4, 6):
+        c = Circuit(num_qubits)
+        for _ in range(4):  # superpose first, so the phases are visible in rho
+            for q in range(num_qubits):
+                c.sx(q)
+        for _ in range(12):
+            c.rz(int(rng.integers(num_qubits)), angle=float(rng.uniform(-np.pi, np.pi)))
+        for noise in _NOISES:
+            assert _max_diff_to_reference(c, noise) <= 1e-12
+            bare = Circuit(num_qubits, [g for g in c.gates if g.is_virtual])
+            assert _max_diff_to_reference(bare, noise) <= 1e-12
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+def test_noisy_matches_reference_on_compiled_baselines(two_qubit):
+    rng = np.random.default_rng(46)
+    for num_qubits in (2, 4, 5):
+        x = rng.normal(size=1 << num_qubits)
+        x /= np.linalg.norm(x)
+        circuit = compile_exact(x, BasisConfig(two_qubit_kind=two_qubit)).physical_circuit
+        assert _max_diff_to_reference(circuit, NoiseModel()) <= 1e-12
+
+
+def _moveaxis_statevector(circuit, theta=None):
+    state = np.zeros(1 << circuit.num_qubits, dtype=complex)
+    state[0] = 1.0
+    for gate in circuit.gates:
+        state = oracles.reference_apply_unitary(
+            state, gate_matrix(gate, theta), gate.qubits, circuit.num_qubits)
+    return state
+
+
+def test_ideal_is_bit_for_bit_the_moveaxis_path():
+    rng = np.random.default_rng(47)
+    for num_qubits in range(1, 8):
+        for two_qubit in (GateKind.CX, GateKind.ECR):
+            circuit = _random_physical_circuit(rng, num_qubits, 40, two_qubit, slots=4)
+            for gate in ((GateKind.CY, GateKind.SWAP) if num_qubits >= 2 else ()):
+                a, b = (int(v) for v in rng.choice(num_qubits, size=2, replace=False))
+                circuit.append(Gate(gate, (a, b)))
+            circuit.rx(0, 0.3).ry(num_qubits - 1, -1.1)
+            theta = rng.uniform(-np.pi, np.pi, size=4)
+            got = simulate_ideal(circuit, theta)
+            assert np.array_equal(got, _moveaxis_statevector(circuit, theta))
+
+
+def test_apply_unitary_is_bit_for_bit_the_moveaxis_path():
+    rng = np.random.default_rng(48)
+    for n in range(1, 8):
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for m in (1, 2):
+            if m > n:
+                continue
+            qubits = tuple(int(q) for q in rng.choice(n, size=m, replace=False))
+            u = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
+            got = apply_unitary(state, u, qubits, n)
+            assert np.array_equal(got, oracles.reference_apply_unitary(state, u, qubits, n))

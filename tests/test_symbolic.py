@@ -190,6 +190,8 @@ def test_overlap_model_rejects_unnormalized_target():
     state = init_plus_i(2)
     with pytest.raises(ValueError, match="normalized"):
         OverlapModel(state, np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        OverlapModel(state, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
 def test_debug_dump_shape():
