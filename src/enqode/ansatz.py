@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baseline import BasisConfig, lower_to_basis, route_linear
 from .circuit import Circuit
 from .simulator import apply_unitary, rx_matrix, ry_matrix
 from .symbolic import PhaseLinearState, init_plus_i
@@ -82,6 +83,14 @@ def build(config: AnsatzConfig) -> AnsatzBundle:
     # circuit-time order RX then RY means the matrix product RY @ RX
     factor = ry_matrix(-np.pi / 2) @ rx_matrix(-np.pi / 2)
     return AnsatzBundle(config, circuit, state, [factor.copy() for _ in range(n)])
+
+
+def ansatz_physical(config: AnsatzConfig, basis: BasisConfig = BasisConfig()) -> Circuit:
+    """The fixed physical circuit shared by every sample: the logical
+    circuit lowered, routed for the chain and lowered again. Chain-adjacent
+    CY pairs mean routing inserts no SWAPs."""
+    routed = route_linear(lower_to_basis(build(config).logical_circuit, basis))
+    return lower_to_basis(routed.circuit, basis)
 
 
 def apply_epilogue(bundle: AnsatzBundle, state: np.ndarray) -> np.ndarray:

@@ -20,15 +20,17 @@ import sys
 import numpy as np
 
 from . import dataio
-from .ansatz import AnsatzConfig, build
-from .baseline import BasisConfig, compile_exact, lower_to_basis, permute_state, route_linear
+from .ansatz import AnsatzConfig, ansatz_physical
+from .baseline import BasisConfig, compile_exact, permute_state
 from .circuit import Circuit, GateKind, from_json, metrics
 from .optimizer import OptimizerOptions
 from .pipeline import (
     TrainedLibrary,
     cluster,
     embed_online,
+    library_from_json,
     load_library,
+    require_keys,
     save_library,
     train_offline,
 )
@@ -194,14 +196,6 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _ansatz_physical(library: TrainedLibrary, basis: BasisConfig) -> Circuit:
-    """The fixed physical circuit shared by every sample; chain-adjacent CY
-    pairs mean routing inserts no SWAPs."""
-    bundle = build(library.config)
-    routed = route_linear(lower_to_basis(bundle.logical_circuit, basis))
-    return lower_to_basis(routed.circuit, basis)
-
-
 def _compare_one(sample_id: int, x: np.ndarray, library: TrainedLibrary,
                  config: RunConfig, physical: Circuit, counts,
                  noise: NoiseModel) -> list[SampleRow]:
@@ -250,7 +244,7 @@ def cmd_compare(config: RunConfig) -> int:
 
     basis = config.basis_config()
     noise = config.noise()
-    physical = _ansatz_physical(library, basis)
+    physical = ansatz_physical(library.config, basis)
     counts = metrics(physical)
 
     rows: list[SampleRow] = []
@@ -301,30 +295,14 @@ def cmd_compare(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _require_keys(doc, keys: tuple[str, ...], what: str) -> None:
-    """Reject a document part that is not an object or lacks a key we read."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise ValueError(f"{what} is missing key '{key}'")
-
-
-def _inspect_library(doc: dict) -> None:
-    _require_keys(doc, ("config", "clusters", "fingerprint", "offline_seconds"), "library")
-    config = doc["config"]
-    clusters = doc["clusters"]
-    _require_keys(config, ("num_qubits", "layers"), "library config")
-    if not isinstance(clusters, list):
-        raise ValueError("library clusters must be a JSON list")
-    for entry in clusters:
-        _require_keys(entry, ("id", "train_fidelity"), "library cluster")
-    print(f"trained library: {len(clusters)} clusters, "
-          f"{config['num_qubits']} qubits x {config['layers']} layers")
-    print(f"dataset fingerprint {doc['fingerprint'][:16]}..., "
-          f"trained in {doc['offline_seconds']:.2f}s")
-    for entry in clusters:
-        print(f"  cluster {entry['id']}: train fidelity {entry['train_fidelity']:.6f}")
+def _inspect_library(library: TrainedLibrary) -> None:
+    config = library.config
+    print(f"trained library: {len(library.clusters)} clusters, "
+          f"{config.num_qubits} qubits x {config.layers} layers")
+    print(f"dataset fingerprint {library.fingerprint[:16]}..., "
+          f"trained in {library.offline_seconds:.2f}s")
+    for model in library.clusters:
+        print(f"  cluster {model.cluster_id}: train fidelity {model.train_fidelity:.6f}")
 
 
 def _inspect_circuit(doc: dict) -> None:
@@ -345,12 +323,12 @@ _METHOD_STATS = ("depth_mean", "depth_std", "ideal_fidelity_mean", "noisy_fideli
 
 
 def _inspect_report(doc: dict) -> None:
-    _require_keys(doc, ("schema_version", "aggregate"), "report")
+    require_keys(doc, ("schema_version", "aggregate"), "report")
     agg = doc["aggregate"]
-    _require_keys(agg, ("samples_compared",), "report aggregate")
+    require_keys(agg, ("samples_compared",), "report aggregate")
     for method in (METHOD_ANSATZ, METHOD_BASELINE):
         if method in agg:
-            _require_keys(agg[method], _METHOD_STATS, f"report aggregate '{method}'")
+            require_keys(agg[method], _METHOD_STATS, f"report aggregate '{method}'")
     if not isinstance(agg.get("ratios", {}), dict):
         raise ValueError("report ratios must be a JSON object")
     print(f"comparison report (schema v{doc['schema_version']}), "
@@ -369,11 +347,12 @@ def _inspect_report(doc: dict) -> None:
 
 def cmd_inspect(path: str) -> int:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if {"clusters", "fingerprint"} <= set(doc):
-        _inspect_library(doc)
+        _inspect_library(library_from_json(text))
     elif {"num_qubits", "gates"} <= set(doc):
         _inspect_circuit(doc)
     elif {"samples", "aggregate"} <= set(doc):

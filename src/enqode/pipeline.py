@@ -271,18 +271,54 @@ def library_to_json(library: TrainedLibrary) -> str:
     return json.dumps(doc, indent=2)
 
 
+def require_keys(doc, keys: tuple[str, ...], what: str) -> None:
+    """Reject a document part that is not an object or lacks a key we read."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} is missing key '{key}'")
+
+
 def library_from_json(text: str) -> TrainedLibrary:
+    """Parse a library document, rejecting with ValueError any document that
+    lacks a key, whose config is not a positive integer qubit/layer count,
+    or whose clusters have repeated ids, a theta_star that does not fit the
+    ansatz, or a centroid that is not a finite unit vector of length 2^n."""
     doc = json.loads(text)
+    require_keys(doc, ("config", "clusters", "fingerprint", "offline_seconds"), "library")
+    require_keys(doc["config"], ("num_qubits", "layers"), "library config")
+    for key in ("num_qubits", "layers"):
+        value = doc["config"][key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"library config {key} must be an integer, got {value!r}")
     config = AnsatzConfig(num_qubits=doc["config"]["num_qubits"], layers=doc["config"]["layers"])
-    clusters = [
-        ClusterModel(
-            cluster_id=entry["id"],
-            centroid=np.asarray(entry["centroid"], dtype=float),
-            theta_star=np.asarray(entry["theta_star"], dtype=float),
+    if not isinstance(doc["clusters"], list):
+        raise ValueError("library clusters must be a JSON list")
+    clusters = []
+    for entry in doc["clusters"]:
+        require_keys(entry, ("id", "centroid", "theta_star", "train_fidelity"), "library cluster")
+        cid = entry["id"]
+        if any(model.cluster_id == cid for model in clusters):
+            raise ValueError(f"library cluster id {cid!r} is not unique")
+        centroid = np.asarray(entry["centroid"], dtype=float)
+        theta_star = np.asarray(entry["theta_star"], dtype=float)
+        if theta_star.shape != (config.num_params,) or not np.all(np.isfinite(theta_star)):
+            raise ValueError(f"library cluster {cid}: theta_star must be {config.num_params} "
+                             f"finite numbers for the configured ansatz, got shape "
+                             f"{theta_star.shape}")
+        if centroid.shape != (1 << config.num_qubits,) or not np.all(np.isfinite(centroid)):
+            raise ValueError(f"library cluster {cid}: centroid must be {1 << config.num_qubits} "
+                             f"finite numbers, got shape {centroid.shape}")
+        norm = np.linalg.norm(centroid)
+        if not abs(norm - 1.0) <= 1e-8:
+            raise ValueError(f"library cluster {cid}: centroid is not unit norm (norm {norm:.6g})")
+        clusters.append(ClusterModel(
+            cluster_id=cid,
+            centroid=centroid,
+            theta_star=theta_star,
             train_fidelity=float(entry["train_fidelity"]),
-        )
-        for entry in doc["clusters"]
-    ]
+        ))
     return TrainedLibrary(
         config=config,
         clusters=clusters,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,14 @@ class PhaseLinearState:
     @property
     def num_params(self) -> int:
         return self.coeff.shape[1]
+
+    @cached_property
+    def coeff_float(self) -> np.ndarray:
+        """`coeff` as float64, cast once on first use and then shared by
+        `evaluate` and `OverlapModel.loss_and_grad`."""
+        table = self.coeff.astype(float)
+        table.flags.writeable = False
+        return table
 
     @property
     def dim(self) -> int:
@@ -89,7 +98,7 @@ class PhaseLinearState:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.num_params,):
             raise ValueError(f"expected {self.num_params} parameters, got shape {theta.shape}")
-        half_phase = 0.5 * (self.coeff.astype(float) @ theta)
+        half_phase = 0.5 * (self.coeff_float @ theta)
         scale = 2.0 ** (-self.num_qubits / 2.0)
         return scale * _I_POWERS[self.root_exp] * np.exp(1j * half_phase)
 
@@ -137,7 +146,7 @@ class OverlapModel:
         overlap = weighted.sum()
         loss = 1.0 - (overlap.real**2 + overlap.imag**2)
         # d(psi_r)/d(theta_j) = psi_r * (i * coeff_rj / 2)
-        moments = weighted @ self.state.coeff.astype(float)
+        moments = weighted @ self.state.coeff_float
         grad = -2.0 * np.real(np.conj(overlap) * 0.5j * moments)
         return min(max(loss, 0.0), 1.0), grad
 

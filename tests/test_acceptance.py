@@ -13,8 +13,8 @@ import pytest
 
 import datasets
 import oracles
-from enqode.ansatz import AnsatzConfig, build, invert_epilogue
-from enqode.baseline import BasisConfig, compile_exact, lower_to_basis, permute_state, route_linear
+from enqode.ansatz import AnsatzConfig, ansatz_physical, build, invert_epilogue
+from enqode.baseline import BasisConfig, compile_exact, permute_state
 from enqode.circuit import Circuit, metrics
 from enqode.cli import main as cli_main
 from enqode.optimizer import OptimizerOptions, minimize
@@ -31,12 +31,6 @@ BASIS = BasisConfig()
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def _ansatz_physical(config: AnsatzConfig) -> Circuit:
-    bundle = build(config)
-    routed = route_linear(lower_to_basis(bundle.logical_circuit, BASIS))
-    return lower_to_basis(routed.circuit, BASIS)
 
 
 def _random_table_circuit(rng, num_qubits, length):
@@ -176,7 +170,7 @@ def test_criterion_05_zero_variance_structure(four_qubit_run):
     _, library = four_qubit_run
     rng = np.random.default_rng(505)
     samples = _heterogeneous_set(4, rng)
-    physical = _ansatz_physical(library.config)
+    physical = ansatz_physical(library.config, BASIS)
 
     ansatz_depths, ansatz_totals = [], []
     baseline_depths, baseline_totals = [], []
@@ -203,7 +197,7 @@ def test_criterion_05_zero_variance_structure(four_qubit_run):
 
 def test_criterion_06_reduction_ratios(eight_qubit_run):
     data, _, library, _ = eight_qubit_run
-    counts = metrics(_ansatz_physical(library.config))
+    counts = metrics(ansatz_physical(library.config, BASIS))
     rng = np.random.default_rng(606)
     picks = data[rng.choice(len(data), size=5, replace=False)]
     base = [compile_exact(x, BASIS).metrics for x in picks]
@@ -220,7 +214,7 @@ def test_criterion_06_reduction_ratios(eight_qubit_run):
 
 def test_criterion_07_noisy_fidelity_ordering(eight_qubit_run):
     data, _, library, _ = eight_qubit_run
-    physical = _ansatz_physical(library.config)
+    physical = ansatz_physical(library.config, BASIS)
     wins = 0
     total = 10
     margins = []

@@ -271,17 +271,52 @@ def test_compare_failures_are_in_sample_order_at_any_timing(tmp_path, capsys, mo
 
 def test_compare_all_failed_exits_4(tmp_path, capsys):
     out = _trained(tmp_path, capsys)
-    library = json.loads((tmp_path / "run" / "library.json").read_text())
-    for entry in library["clusters"]:
-        entry["theta_star"] = [0.1, 0.2]  # wrong arity for the ansatz
-    doctored = tmp_path / "doctored.json"
-    doctored.write_text(json.dumps(library))
+    values, _ = datasets.clustered_dataset(num_qubits=2, per_cluster=2, seed=0)
+    short = _write_csv(tmp_path / "short.csv", 0.9 * values)  # no row is unit norm
     args = ["--qubits", "2", "--layers", "2", "--out", out]
-    code, _, stderr = run_cli(
-        ["compare", f"{out}/prepared.csv", str(doctored), *args], capsys)
+    code, _, stderr = run_cli(["compare", short, f"{out}/library.json", *args], capsys)
     assert code == EXIT_ALL_FAILED
     assert "all samples failed" in stderr
     assert "sample 0:" in stderr
+
+
+def _drop_config(library):
+    del library["config"]
+
+
+def _shorten_theta(library):
+    library["clusters"][1]["theta_star"].pop()
+
+
+def _scale_centroid(library):
+    library["clusters"][0]["centroid"] = [2.0 * v for v in library["clusters"][0]["centroid"]]
+
+
+def _repeat_id(library):
+    library["clusters"][1]["id"] = library["clusters"][0]["id"]
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_drop_config, "library is missing key 'config'"),
+    (_shorten_theta, "library cluster 1: theta_star must be 4 finite numbers"),
+    (_scale_centroid, "library cluster 0: centroid is not unit norm (norm 2)"),
+    (_repeat_id, "library cluster id 0 is not unique"),
+])
+def test_compare_rejects_malformed_library(tmp_path, capsys, doctor, message):
+    out = _trained(tmp_path, capsys)
+    library = json.loads((tmp_path / "run" / "library.json").read_text())
+    assert len(library["clusters"]) == 2
+    doctor(library)
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(library))
+    args = ["--qubits", "2", "--layers", "2", "--out", out]
+    code, stdout, stderr = run_cli(
+        ["compare", f"{out}/prepared.csv", str(doctored), *args], capsys)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr.startswith(f"error: {message}")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_compare_dimension_mismatch_exits_2(tmp_path, capsys):

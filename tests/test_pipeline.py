@@ -233,6 +233,33 @@ def test_library_json_schema_and_round_trip(tmp_path):
         assert a.train_fidelity == b.train_fidelity
 
 
+def test_library_from_json_rejects_malformed_documents():
+    _, library = _toy_library(num_qubits=2, layers=2)
+    good = json.loads(library_to_json(library))
+
+    def load(edit):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        return library_from_json(json.dumps(doc))
+
+    load(lambda doc: None)
+    cases = [
+        (lambda doc: doc["config"].update(num_qubits=2.5), "num_qubits must be an integer"),
+        (lambda doc: doc["config"].update(layers=True), "layers must be an integer"),
+        (lambda doc: doc.update(clusters={}), "clusters must be a JSON list"),
+        (lambda doc: doc["clusters"][0].pop("centroid"), "missing key 'centroid'"),
+        (lambda doc: doc["clusters"][0]["theta_star"].append(0.0), "theta_star must be 4"),
+        (lambda doc: doc["clusters"][0]["theta_star"].__setitem__(0, float("nan")),
+         "theta_star must be 4 finite"),
+        (lambda doc: doc["clusters"][0]["centroid"].append(0.0), "centroid must be 4"),
+        (lambda doc: doc["clusters"][0]["centroid"].__setitem__(0, float("inf")),
+         "centroid must be 4 finite"),
+    ]
+    for edit, message in cases:
+        with pytest.raises(ValueError, match=message):
+            load(edit)
+
+
 def test_fingerprint_tracks_data():
     data, centroids = datasets.clustered_dataset(num_qubits=2, per_cluster=4, seed=2)
     config = AnsatzConfig(num_qubits=2, layers=2)

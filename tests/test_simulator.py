@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from enqode import simulator
 from enqode.ansatz import AnsatzConfig, apply_epilogue, build
 from enqode.baseline import BasisConfig, compile_exact
 from enqode.circuit import Circuit, Gate, GateKind
@@ -304,6 +305,84 @@ def test_noisy_matches_reference_on_compiled_baselines(two_qubit):
         x /= np.linalg.norm(x)
         circuit = compile_exact(x, BasisConfig(two_qubit_kind=two_qubit)).physical_circuit
         assert _max_diff_to_reference(circuit, NoiseModel()) <= 1e-12
+
+
+def _few_pair_circuit(rng, num_qubits, length, two_qubit, slots=0):
+    """Two-qubit gates drawn from only two or three pairs, in either
+    orientation, so that runs on one pair, one-qubit gates and RZs landing
+    inside an open pair, and interleaved disjoint pairs are all common.
+    With `slots`, RZs draw a parameter slot instead of an angle half the time."""
+    c = Circuit(num_qubits)
+    pairs = [tuple(int(v) for v in rng.choice(num_qubits, size=2, replace=False))
+             for _ in range(int(rng.integers(2, 4)))]
+    on_pairs = sorted({q for pair in pairs for q in pair})
+    for _ in range(length):
+        draw = rng.random()
+        q = int(rng.choice(on_pairs) if rng.random() < 0.8 else rng.integers(num_qubits))
+        if draw < 0.45:
+            a, b = pairs[int(rng.integers(len(pairs)))]
+            c.append(Gate(two_qubit, (a, b) if rng.random() < 0.5 else (b, a)))
+        elif draw < 0.75:
+            c.append(Gate(GateKind.SX if rng.random() < 0.7 else GateKind.X, (q,)))
+        elif slots and rng.random() < 0.5:
+            c.rz(q, slot=int(rng.integers(slots)))
+        else:
+            c.rz(q, angle=float(rng.uniform(-np.pi, np.pi)))
+    if slots:
+        c.num_params = slots
+    return c
+
+
+def _fusion_cases(gates):
+    """How often a two-qubit gate follows one on the reversed pair with no
+    other two-qubit gate on either qubit in between, and how many one-qubit
+    gates sit between two two-qubit gates on one pair."""
+    last: dict[int, tuple] = {}  # qubit -> (index, qubits) of its latest two-qubit gate
+    reversed_runs = inside = 0
+    for i, gate in enumerate(gates):
+        if len(gate.qubits) != 2:
+            continue
+        a, b = gate.qubits
+        prev = last.get(a)
+        if prev is not None and prev == last.get(b):
+            reversed_runs += prev[1] == (b, a)
+            inside += sum(1 for g in gates[prev[0] + 1:i] if g.qubits in ((a,), (b,)))
+        last[a] = last[b] = (i, gate.qubits)
+    return reversed_runs, inside
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+@pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
+def test_noisy_matches_reference_on_repeated_pairs(num_qubits, two_qubit):
+    rng = np.random.default_rng([num_qubits, 7 if two_qubit is GateKind.CX else 8])
+    reversed_runs = inside = 0
+    for noise in _NOISES:
+        for slots in (0, 5):
+            circuit = _few_pair_circuit(rng, num_qubits, 40, two_qubit, slots)
+            theta = rng.uniform(-np.pi, np.pi, size=slots) if slots else None
+            assert _max_diff_to_reference(circuit, noise, theta) <= 1e-12
+            counts = _fusion_cases(circuit.gates)
+            reversed_runs += counts[0]
+            inside += counts[1]
+    assert reversed_runs > 0 and inside > 0  # the generator reaches both cases
+
+
+def test_noisy_fuses_gates_on_one_pair_into_fewer_passes(monkeypatch):
+    rng = np.random.default_rng(49)
+    x = rng.normal(size=32)
+    circuit = compile_exact(x / np.linalg.norm(x), BasisConfig()).physical_circuit
+    passes = []
+    real = simulator._apply
+
+    def counted(*args):
+        passes.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "_apply", counted)
+    simulate_noisy(circuit, None, NoiseModel())
+    two_qubit = sum(1 for gate in circuit.gates if len(gate.qubits) == 2)
+    assert passes and set(passes) == {10}  # every pass is on the rank-2n density tensor
+    assert len(passes) < two_qubit
 
 
 def _moveaxis_statevector(circuit, theta=None):

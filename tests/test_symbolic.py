@@ -164,6 +164,29 @@ def test_gradient_matches_finite_differences(num_qubits, length, seed):
     assert np.max(np.abs(grad - numeric) / scale) <= 1e-5
 
 
+def test_cached_float_table_is_bit_for_bit_the_per_call_cast():
+    rng = np.random.default_rng(606)
+    state, _ = _random_table_circuit(rng, 6, 60)
+    target = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
+    model = OverlapModel(state, target / np.linalg.norm(target))
+    for _ in range(5):
+        theta = rng.uniform(-np.pi, np.pi, size=state.num_params)
+        loss, grad = model.loss_and_grad(theta)
+        # the formula with the int8 table cast on every call, as it was written before
+        coeff = state.coeff.astype(float)
+        psi = (2.0 ** (-3.0) * np.array([1.0, 1.0j, -1.0, -1.0j])[state.root_exp]
+               * np.exp(1j * (0.5 * (coeff @ theta))))
+        weighted = np.conj(model.target) * psi
+        overlap = weighted.sum()
+        expected_loss = min(max(1.0 - (overlap.real**2 + overlap.imag**2), 0.0), 1.0)
+        expected_grad = -2.0 * np.real(np.conj(overlap) * 0.5j * (weighted @ coeff))
+        assert np.array_equal(state.evaluate(theta), psi)
+        assert loss == expected_loss
+        assert np.array_equal(grad, expected_grad)
+    assert state.coeff_float is state.coeff_float
+    assert not state.coeff_float.flags.writeable
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 10), st.integers(0, 2**32 - 1),
        st.floats(-np.pi, np.pi))
