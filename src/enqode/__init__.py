@@ -30,7 +30,6 @@ from .simulator import (
     fidelity_to_pure,
     simulate_ideal,
     simulate_noisy,
-    state_fidelity,
 )
 from .symbolic import OverlapModel, PhaseLinearState, init_plus_i
 
@@ -74,7 +73,6 @@ __all__ = [
     "save_library",
     "simulate_ideal",
     "simulate_noisy",
-    "state_fidelity",
     "strip_volatile",
     "train_offline",
 ]

@@ -93,13 +93,6 @@ def ansatz_physical(config: AnsatzConfig, basis: BasisConfig = BasisConfig()) ->
     return lower_to_basis(routed.circuit, basis)
 
 
-def apply_epilogue(bundle: AnsatzBundle, state: np.ndarray) -> np.ndarray:
-    out = np.asarray(state, dtype=complex)
-    for q, factor in enumerate(bundle.epilogue_factors):
-        out = apply_unitary(out, factor, (q,), bundle.config.num_qubits)
-    return out
-
-
 def invert_epilogue(bundle: AnsatzBundle, x: np.ndarray) -> np.ndarray:
     """Pull a real unit target back through the epilogue: t = E^dagger x."""
     x = np.asarray(x, dtype=float)

@@ -18,7 +18,7 @@ circuits, dense targets the full tree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

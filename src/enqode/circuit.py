@@ -141,18 +141,6 @@ def metrics(circuit: Circuit) -> GateCounts:
     )
 
 
-def concat(a: Circuit, b: Circuit) -> Circuit:
-    """Sequential composition; parameter slots are shared, not re-indexed."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("qubit count mismatch")
-    out = Circuit(a.num_qubits)
-    for gate in a.gates:
-        out.append(gate)
-    for gate in b.gates:
-        out.append(gate)
-    return out
-
-
 def _gate_to_dict(gate: Gate) -> dict:
     d: dict = {"kind": gate.kind.value, "qubits": list(gate.qubits)}
     if gate.angle is not None:

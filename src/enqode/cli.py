@@ -255,9 +255,8 @@ def cmd_compare(config: RunConfig) -> int:
                             counts, noise)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        futures = {pool.submit(work, i): i for i in range(data.rows)}
-        for future in concurrent.futures.as_completed(futures):
-            i = futures[future]
+        futures = [pool.submit(work, i) for i in range(data.rows)]
+        for i, future in enumerate(futures):  # sample order, so failures are sorted by id
             try:
                 rows.extend(future.result())
             except Exception as exc:  # noqa: BLE001 - per-sample isolation
@@ -271,7 +270,6 @@ def cmd_compare(config: RunConfig) -> int:
                   file=sys.stderr)
         return EXIT_ALL_FAILED
 
-    failures.sort(key=lambda failure: failure["sample_id"])
     metadata = {"seed": config.seed, "config": config.echo()}
     report = build_report(rows, metadata, failures=failures or None)
     os.makedirs(config.out, exist_ok=True)
@@ -306,6 +304,9 @@ def _inspect_library(library: TrainedLibrary) -> None:
 
 
 def _inspect_circuit(doc: dict) -> None:
+    require_keys(doc, ("num_qubits", "num_params", "gates"), "circuit")
+    for i, gate in enumerate(doc["gates"]):
+        require_keys(gate, ("kind", "qubits"), f"circuit gate {i}")
     circuit = from_json(json.dumps(doc))
     counts = metrics(circuit)
     print(f"circuit: {circuit.num_qubits} qubits, {len(circuit.gates)} gates, "

@@ -8,10 +8,9 @@ the Wolfe search fails to bracket one.
 
 from __future__ import annotations
 
-import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -61,9 +60,7 @@ class OptimizeResult:
     iterations: int
     gradient_evals: int
     converged: bool
-    wall_time: float
-    stop_reason: str = ""
-    loss_history: list = field(default_factory=list)  # accepted losses, initial point first
+    stop_reason: str
 
 
 def _checked_call(objective: Objective, theta: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -94,7 +91,7 @@ def _two_loop_direction(grad, s_hist, y_hist, rho_hist):
     return -q
 
 
-def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions):
+def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions) -> OptimizeResult:
     theta = np.array(theta0, dtype=float, copy=True)
     evals = [0]
 
@@ -110,7 +107,6 @@ def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions):
         return cache[key]
 
     loss, grad = evaluate(theta)
-    history = [loss]
     s_hist: deque = deque(maxlen=opts.history_size)
     y_hist: deque = deque(maxlen=opts.history_size)
     rho_hist: deque = deque(maxlen=opts.history_size)
@@ -154,7 +150,6 @@ def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions):
         theta_new = theta + alpha * direction
         loss_new, grad_new = evaluate(theta_new)
         iterations += 1
-        history.append(loss_new)
 
         s = theta_new - theta
         y = grad_new - grad
@@ -173,7 +168,7 @@ def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions):
             reason = "loss_tolerance"
             break
 
-    return theta, loss, grad, iterations, evals[0], converged, reason, history
+    return OptimizeResult(theta, loss, iterations, evals[0], converged, reason)
 
 
 def _backtrack(evaluate, theta, direction, loss, slope, c1):
@@ -195,25 +190,15 @@ def minimize(objective: Objective, theta0, opts: OptimizerOptions = OptimizerOpt
     value aborts with :class:`ObjectiveError` carrying the offending theta.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    start = time.perf_counter()
-    theta, loss, _grad, iters, evals, converged, reason, history = _run(objective, theta0, opts)
+    result = _run(objective, theta0, opts)
+    if not (opts.random_restart and result.loss_star > _RESTART_LOSS):
+        return result
 
-    if opts.random_restart and loss > _RESTART_LOSS:
-        rng = np.random.default_rng(opts.restart_seed)
-        alt0 = rng.uniform(-np.pi, np.pi, size=theta0.shape)
-        alt = _run(objective, alt0, opts)
-        iters += alt[3]
-        evals += alt[4]
-        if alt[1] < loss:
-            theta, loss, _grad, converged, reason, history = alt[0], alt[1], alt[2], alt[5], alt[6], alt[7]
-
-    return OptimizeResult(
-        theta_star=theta,
-        loss_star=loss,
-        iterations=iters,
-        gradient_evals=evals,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-        stop_reason=reason,
-        loss_history=history,
+    rng = np.random.default_rng(opts.restart_seed)
+    alt = _run(objective, rng.uniform(-np.pi, np.pi, size=theta0.shape), opts)
+    best = alt if alt.loss_star < result.loss_star else result
+    return replace(
+        best,
+        iterations=result.iterations + alt.iterations,
+        gradient_evals=result.gradient_evals + alt.gradient_evals,
     )

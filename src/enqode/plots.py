@@ -184,12 +184,6 @@ def _box_chart(title: str, y_label: str,
     return canvas.render()
 
 
-def _series(agg: dict, methods: list[str], fields: list[str], kind: str):
-    return [
-        (m, [agg[m][f"{f}_{kind}"] for f in fields], ) for m in methods
-    ]
-
-
 def render_report_svgs(report: dict, out_dir) -> list[str]:
     """Write the four comparison figures beneath out_dir; returns the paths."""
     agg = report["aggregate"]

@@ -169,7 +169,9 @@ class DensityMatrix:
         self.data = np.asarray(self.data, dtype=complex)
         self.validate()
 
-    def validate(self, psd_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        """Shape, unit trace and Hermiticity. Positivity is not checked here:
+        an eigensolve costs O(8^n) per result, so the tests assert it instead."""
         d = 1 << self.num_qubits
         if self.data.shape != (d, d):
             raise ValueError("density matrix shape mismatch")
@@ -177,8 +179,6 @@ class DensityMatrix:
             raise ValueError(f"trace is {np.trace(self.data)}, expected 1")
         if np.max(np.abs(self.data - self.data.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(self.data).min() < -psd_tol:
-            raise ValueError("density matrix is not positive semidefinite")
 
 
 def _superoperator(u: np.ndarray, p: float) -> np.ndarray:
@@ -307,39 +307,8 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
     return DensityMatrix(n, rho)
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian square root with small eigenvalues clamped to zero.
-
-    The clamp threshold is relative to the largest eigenvalue: sqrt turns
-    O(eps) rounding noise in true-zero eigenvalues into O(sqrt(eps)) trace
-    error otherwise, which would swamp tight fidelity tolerances.
-    """
-    vals, vecs = np.linalg.eigh(matrix)
-    tol = vals.size * np.finfo(float).eps * max(float(vals[-1]), 0.0)
-    vals = np.where(vals > tol, vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
-    if rho.num_qubits != sigma.num_qubits:
-        raise ValueError("dimension mismatch")
-    rho.validate()
-    sigma.validate()
-    root = _psd_sqrt(rho.data)
-    inner = _psd_sqrt(root @ sigma.data @ root)
-    fid = float(np.real(np.trace(inner)) ** 2)
-    return min(max(fid, 0.0), 1.0)
-
-
 def fidelity_to_pure(rho: DensityMatrix, target: np.ndarray) -> float:
-    """Fast path for a pure comparison state: <x|rho|x>."""
+    """Fidelity of rho with the pure state |x>: <x|rho|x>."""
     target = np.asarray(target, dtype=complex)
     fid = float(np.real(np.conj(target) @ rho.data @ target))
     return min(max(fid, 0.0), 1.0)
-
-
-def pure_density(state: np.ndarray) -> DensityMatrix:
-    state = np.asarray(state, dtype=complex)
-    n = int(np.log2(state.size))
-    return DensityMatrix(n, np.outer(state, state.conj()))

@@ -17,14 +17,12 @@ significant bit).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-_ROOT_LABELS = {0: "1", 1: "i", 2: "-1", 3: "-i"}
 
 
 @dataclass(frozen=True)
@@ -152,14 +150,3 @@ class OverlapModel:
 
     def loss(self, theta: np.ndarray) -> float:
         return self.loss_and_grad(theta)[0]
-
-
-def dump_debug(state: PhaseLinearState) -> str:
-    """JSON dump of the amplitude table, for fixtures and inspection."""
-    doc = {
-        "num_qubits": state.num_qubits,
-        "num_params": state.num_params,
-        "k": [_ROOT_LABELS[int(e)] for e in state.root_exp],
-        "p": state.coeff.tolist(),
-    }
-    return json.dumps(doc, indent=2)

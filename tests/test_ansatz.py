@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from enqode.ansatz import AnsatzConfig, apply_epilogue, build, cy_pairs, invert_epilogue
+from enqode.ansatz import AnsatzConfig, build, cy_pairs, invert_epilogue
 from enqode.circuit import GateKind, to_json
 from enqode.symbolic import OverlapModel
 
@@ -61,7 +61,9 @@ def test_dense_simulation_equals_epilogue_of_symbolic(num_qubits, layers, seed):
     bundle = build(AnsatzConfig(num_qubits, layers))
     theta = rng.uniform(-np.pi, np.pi, size=bundle.num_params)
     dense = oracles.simulate(bundle.logical_circuit, theta)
-    symbolic = apply_epilogue(bundle, bundle.symbolic.evaluate(theta))
+    symbolic = bundle.symbolic.evaluate(theta)
+    for q, factor in enumerate(bundle.epilogue_factors):
+        symbolic = oracles.embed_one(factor, q, num_qubits) @ symbolic
     assert np.max(np.abs(dense - symbolic)) <= 1e-10
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from enqode.circuit import Circuit, Gate, GateKind, concat, from_json, metrics, to_json
+from enqode.circuit import Circuit, Gate, GateKind, from_json, metrics, to_json
 
 
 def test_cy_on_empty_circuit():
@@ -121,7 +121,7 @@ def test_concat_depth_subadditive(case_a, case_b):
     n = max(case_a[0], case_b[0])
     a = _circuit_of(n, case_a[1])
     b = _circuit_of(n, case_b[1])
-    joined = metrics(concat(a, b))
+    joined = metrics(_circuit_of(n, case_a[1] + case_b[1]))
     assert joined.depth_physical <= metrics(a).depth_physical + metrics(b).depth_physical
     assert joined.total_physical == metrics(a).total_physical + metrics(b).total_physical
 

@@ -400,6 +400,29 @@ def test_inspect_rejects_documents_missing_keys(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+_CIRCUIT_DOC = {"num_qubits": 2, "num_params": 1,
+                "gates": [{"kind": "rz", "qubits": [0], "slot": 0},
+                          {"kind": "cx", "qubits": [0, 1]}]}
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (lambda doc: doc.pop("num_params"), "circuit is missing key 'num_params'"),
+    (lambda doc: doc["gates"][1].pop("kind"), "circuit gate 1 is missing key 'kind'"),
+    (lambda doc: doc["gates"][0].pop("qubits"), "circuit gate 0 is missing key 'qubits'"),
+    (lambda doc: doc["gates"].__setitem__(0, 3), "circuit gate 0 must be a JSON object"),
+], ids=["no_num_params", "gate_without_kind", "gate_without_qubits", "gate_not_object"])
+def test_inspect_rejects_malformed_circuits(tmp_path, capsys, breakage, message):
+    doc = json.loads(json.dumps(_CIRCUIT_DOC))
+    breakage(doc)
+    broken = tmp_path / "circuit.json"
+    broken.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(["inspect", str(broken)], capsys)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert "Traceback" not in stderr
+
+
 # -- config merging ----------------------------------------------------------
 
 

@@ -61,11 +61,17 @@ def test_accepted_loss_history_is_monotone():
     target = rng.normal(size=8)
     target /= np.linalg.norm(target)
     model = OverlapModel(bundle.symbolic, invert_epilogue(bundle, target))
-    result = minimize(model.loss_and_grad, np.zeros(bundle.num_params))
-    history = np.array(result.loss_history)
-    assert history.size >= 1
+    theta0 = np.zeros(bundle.num_params)
+    result = minimize(model.loss_and_grad, theta0)
+    assert result.iterations >= 1
+    # The run is deterministic, so capping it at k iterations replays the
+    # first k accepted steps: these losses are the accepted-loss history.
+    history = np.array([model.loss(theta0)] + [
+        minimize(model.loss_and_grad, theta0, OptimizerOptions(max_iters=k)).loss_star
+        for k in range(1, result.iterations + 1)
+    ])
     assert np.all(np.diff(history) <= 1e-15)
-    assert result.loss_star <= model.loss(np.zeros(bundle.num_params))
+    assert history[-1] == result.loss_star
 
 
 def test_deterministic_across_runs():
@@ -155,5 +161,4 @@ def test_restart_only_improves():
 
 def test_wall_time_and_eval_counts_populated():
     result = minimize(_bowl(np.zeros(2)), np.array([3.0, -4.0]))
-    assert result.wall_time >= 0.0
     assert result.gradient_evals >= result.iterations

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from enqode.circuit import Circuit
-from enqode.symbolic import OverlapModel, PhaseLinearState, dump_debug, init_plus_i
+from enqode.symbolic import OverlapModel, init_plus_i
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -215,12 +214,3 @@ def test_overlap_model_rejects_unnormalized_target():
         OverlapModel(state, np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="normalized"):
         OverlapModel(state, np.array([1.0, np.nan, 0.0, 0.0]))
-
-
-def test_debug_dump_shape():
-    state = init_plus_i(2).apply_rz(0, 0)
-    doc = json.loads(dump_debug(state))
-    assert doc["num_qubits"] == 2
-    assert doc["num_params"] == 1
-    assert doc["k"] == ["1", "i", "i", "-1"]
-    assert np.array(doc["p"]).shape == (4, 1)
