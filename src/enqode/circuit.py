@@ -12,7 +12,6 @@ length over physical gates under qubit-dependency ordering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -139,34 +138,3 @@ def metrics(circuit: Circuit) -> GateCounts:
         total_physical=one_q + two_q,
         depth_physical=max(level) if level else 0,
     )
-
-
-def _gate_to_dict(gate: Gate) -> dict:
-    d: dict = {"kind": gate.kind.value, "qubits": list(gate.qubits)}
-    if gate.angle is not None:
-        d["angle"] = gate.angle
-    if gate.slot is not None:
-        d["slot"] = gate.slot
-    return d
-
-
-def to_json(circuit: Circuit) -> str:
-    doc = {
-        "num_qubits": circuit.num_qubits,
-        "num_params": circuit.num_params,
-        "gates": [_gate_to_dict(g) for g in circuit.gates],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def from_json(text: str) -> Circuit:
-    doc = json.loads(text)
-    circuit = Circuit(doc["num_qubits"])
-    for g in doc["gates"]:
-        circuit.append(
-            Gate(GateKind(g["kind"]), tuple(g["qubits"]), angle=g.get("angle"), slot=g.get("slot"))
-        )
-    if circuit.num_params != doc["num_params"]:
-        # slots may legitimately be sparse at the tail (declared but unused)
-        circuit.num_params = doc["num_params"]
-    return circuit

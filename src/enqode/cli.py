@@ -1,10 +1,11 @@
 """Command-line entry point: prepare, train, compare, inspect.
 
-Config comes from one JSON document (--config) with every field overridable
-by a flag; the merged values are echoed into report metadata so a report is
-self-describing. Exit codes: 0 success, 2 input error, 3 infeasible
-fidelity floor, 4 every comparison sample failed. ENQODE_LOG sets the log
-level (default WARNING).
+Config comes from one JSON document (--config). A flag overrides the file
+where the field has one; the rest are config-only. The merged values are
+type-checked against RunConfig and echoed into report metadata, so a
+report is self-describing. Exit codes: 0 success, 2 input error, 3
+infeasible fidelity floor, 4 every comparison sample failed. ENQODE_LOG
+sets the log level (default WARNING).
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import json
 import logging
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import dataio
 from .ansatz import AnsatzConfig, ansatz_physical
 from .baseline import BasisConfig, compile_exact, permute_state
-from .circuit import Circuit, GateKind, from_json, metrics
+from .circuit import Circuit, GateKind, metrics
 from .optimizer import OptimizerOptions
 from .pipeline import (
     TrainedLibrary,
@@ -31,6 +33,7 @@ from .pipeline import (
     library_from_json,
     load_library,
     require_keys,
+    require_types,
     save_library,
     train_offline,
 )
@@ -66,7 +69,6 @@ class RunConfig:
     noise_p1: float = 2e-4
     noise_p2: float = 7e-3
     basis: str = "cx"
-    target_dims: int | None = None
     has_labels: bool = False
     per_class: int | None = 100
     input: str | None = None
@@ -111,10 +113,13 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_FLAG_FIELDS = ["qubits", "layers", "floor", "kmax", "seed", "jobs",
-                "noise_p1", "noise_p2", "out"]
-_FILE_ONLY_FIELDS = ["basis", "target_dims", "has_labels", "per_class",
-                     "input", "dataset", "library"]
+def _check_config(cls, doc: dict, what: str) -> None:
+    """Reject keys that are not fields of `cls` and values of another type."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    require_types(doc, {key: typing.get_args(hints[key]) or (hints[key],) for key in doc}, what)
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -124,29 +129,16 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    known = set(_FLAG_FIELDS) | set(_FILE_ONLY_FIELDS) | {"optimizer"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
     opt_doc = doc.pop("optimizer", {})
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            doc[field.name] = value
+    _check_config(RunConfig, doc, "config")
     if not isinstance(opt_doc, dict):
         raise ValueError("optimizer config must be a JSON object")
-    opt_fields = {f.name for f in dataclasses.fields(OptimizerOptions)}
-    bad = set(opt_doc) - opt_fields
-    if bad:
-        raise ValueError(f"unknown optimizer config keys: {sorted(bad)}")
-
-    fields = dict(doc)
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    for name in ("input_path", "dataset_path", "library_path"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name.removesuffix("_path")] = value
-    return RunConfig(optimizer=OptimizerOptions(**opt_doc), **fields)
+    _check_config(OptimizerOptions, opt_doc, "optimizer config")
+    return RunConfig(optimizer=OptimizerOptions(**opt_doc), **doc)
 
 
 def cmd_prepare(config: RunConfig) -> int:
@@ -156,9 +148,8 @@ def cmd_prepare(config: RunConfig) -> int:
     data = dataio.load_csv(path, has_label_column=config.has_labels)
     if config.per_class is not None:
         data = dataio.subsample_per_class(data, config.per_class, config.seed)
-    target = config.target_dims if config.target_dims is not None else config.dims
-    if data.dims != target:
-        data = dataio.pca_reduce(data, target)
+    if data.dims != config.dims:
+        data = dataio.pca_reduce(data, config.dims)
     data = dataio.l2_normalize(data)
     os.makedirs(config.out, exist_ok=True)
     out_path = config.dataset_path()
@@ -303,23 +294,6 @@ def _inspect_library(library: TrainedLibrary) -> None:
         print(f"  cluster {model.cluster_id}: train fidelity {model.train_fidelity:.6f}")
 
 
-def _inspect_circuit(doc: dict) -> None:
-    require_keys(doc, ("num_qubits", "num_params", "gates"), "circuit")
-    for i, gate in enumerate(doc["gates"]):
-        require_keys(gate, ("kind", "qubits"), f"circuit gate {i}")
-    circuit = from_json(json.dumps(doc))
-    counts = metrics(circuit)
-    print(f"circuit: {circuit.num_qubits} qubits, {len(circuit.gates)} gates, "
-          f"{circuit.num_params} parameter slots")
-    print(f"  physical depth {counts.depth_physical}, "
-          f"1q {counts.one_qubit_physical}, 2q {counts.two_qubit_physical}, "
-          f"virtual rz {counts.virtual_rz}")
-    for gate in circuit.gates:
-        angle = "" if gate.angle is None else f" angle={gate.angle:.6f}"
-        slot = "" if gate.slot is None else f" slot={gate.slot}"
-        print(f"  {gate.kind.value} {list(gate.qubits)}{angle}{slot}")
-
-
 _METHOD_STATS = ("depth_mean", "depth_std", "ideal_fidelity_mean", "noisy_fidelity_mean")
 
 
@@ -329,9 +303,13 @@ def _inspect_report(doc: dict) -> None:
     require_keys(agg, ("samples_compared",), "report aggregate")
     for method in (METHOD_ANSATZ, METHOD_BASELINE):
         if method in agg:
-            require_keys(agg[method], _METHOD_STATS, f"report aggregate '{method}'")
-    if not isinstance(agg.get("ratios", {}), dict):
+            what = f"report aggregate '{method}'"
+            require_keys(agg[method], _METHOD_STATS, what)
+            require_types(agg[method], dict.fromkeys(_METHOD_STATS, (float,)), what)
+    ratios = agg.get("ratios", {})
+    if not isinstance(ratios, dict):
         raise ValueError("report ratios must be a JSON object")
+    require_types(ratios, dict.fromkeys(ratios, (float, type(None))), "report ratios")
     print(f"comparison report (schema v{doc['schema_version']}), "
           f"{agg['samples_compared']} samples compared")
     for method in (METHOD_ANSATZ, METHOD_BASELINE):
@@ -341,7 +319,7 @@ def _inspect_report(doc: dict) -> None:
                   f"+- {stats['depth_std']:.1f}, "
                   f"ideal fidelity {stats['ideal_fidelity_mean']:.4f}, "
                   f"noisy fidelity {stats['noisy_fidelity_mean']:.4f}")
-    for name, value in agg.get("ratios", {}).items():
+    for name, value in ratios.items():
         shown = "n/a" if value is None else f"{value:.2f}x"
         print(f"  {name}: {shown}")
 
@@ -354,12 +332,10 @@ def cmd_inspect(path: str) -> int:
         raise ValueError(f"{path}: expected a JSON object")
     if {"clusters", "fingerprint"} <= set(doc):
         _inspect_library(library_from_json(text))
-    elif {"num_qubits", "gates"} <= set(doc):
-        _inspect_circuit(doc)
     elif {"samples", "aggregate"} <= set(doc):
         _inspect_report(doc)
     else:
-        raise ValueError(f"{path}: not a library, circuit, or report document")
+        raise ValueError(f"{path}: not a library or report document")
     return EXIT_OK
 
 
@@ -367,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--jobs", type=int, help="worker pool size for compare")
-    common.add_argument("--seed", type=int, help="seed for clustering and restarts")
+    common.add_argument("--seed", type=int, help="seed for per-class subsampling and clustering")
     common.add_argument("--out", help="output directory")
     common.add_argument("--noise-p1", type=float, dest="noise_p1",
                         help="one-qubit depolarizing probability")
@@ -385,19 +361,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", parents=[common],
                        help="reduce and normalize a raw CSV")
-    p.add_argument("input_path", nargs="?", help="raw CSV path")
+    p.add_argument("input", nargs="?", metavar="input_path", help="raw CSV path")
 
     p = sub.add_parser("train", parents=[common],
                        help="cluster a prepared dataset and train the library")
-    p.add_argument("dataset_path", nargs="?", help="prepared dataset CSV")
+    p.add_argument("dataset", nargs="?", metavar="dataset_path",
+                   help="prepared dataset CSV")
 
     p = sub.add_parser("compare", parents=[common],
                        help="embed every sample both ways and write the report")
-    p.add_argument("dataset_path", nargs="?", help="prepared dataset CSV")
-    p.add_argument("library_path", nargs="?", help="trained library JSON")
+    p.add_argument("dataset", nargs="?", metavar="dataset_path",
+                   help="prepared dataset CSV")
+    p.add_argument("library", nargs="?", metavar="library_path",
+                   help="trained library JSON")
 
     p = sub.add_parser("inspect", parents=[common],
-                       help="summarize a library, circuit, or report JSON")
+                       help="summarize a library or report JSON")
     p.add_argument("path", help="JSON document to summarize")
     return parser
 

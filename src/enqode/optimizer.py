@@ -18,8 +18,14 @@ from scipy.optimize import line_search as _wolfe_line_search
 
 __all__ = ["ObjectiveError", "OptimizerOptions", "OptimizeResult", "minimize"]
 
-# loss above which the optional seeded restart kicks in
+_GRAD_TOLERANCE = 1e-7  # on the infinity norm of the gradient
+_LOSS_TOLERANCE = 1e-10  # on the accepted per-step loss decrease
+_HISTORY_SIZE = 10
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
+# loss above which the optional seeded restart kicks in, and its seed
 _RESTART_LOSS = 0.2
+_RESTART_SEED = 0
 
 Objective = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 
@@ -35,20 +41,9 @@ class ObjectiveError(RuntimeError):
 @dataclass(frozen=True)
 class OptimizerOptions:
     max_iters: int = 500
-    grad_tolerance: float = 1e-7  # on the infinity norm of the gradient
-    loss_tolerance: float = 1e-10  # on the accepted per-step loss decrease
-    history_size: int = 10
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     random_restart: bool = False  # one seeded retry when the first run stalls high
-    restart_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ValueError("line search needs 0 < c1 < c2 < 1, got "
-                             f"c1={self.wolfe_c1}, c2={self.wolfe_c2}")
-        if self.history_size < 1:
-            raise ValueError("history_size must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -107,15 +102,15 @@ def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions) -> Op
         return cache[key]
 
     loss, grad = evaluate(theta)
-    s_hist: deque = deque(maxlen=opts.history_size)
-    y_hist: deque = deque(maxlen=opts.history_size)
-    rho_hist: deque = deque(maxlen=opts.history_size)
+    s_hist: deque = deque(maxlen=_HISTORY_SIZE)
+    y_hist: deque = deque(maxlen=_HISTORY_SIZE)
+    rho_hist: deque = deque(maxlen=_HISTORY_SIZE)
 
     iterations = 0
     converged = False
     reason = "max_iters"
     for _ in range(opts.max_iters):
-        if np.max(np.abs(grad)) <= opts.grad_tolerance:
+        if np.max(np.abs(grad)) <= _GRAD_TOLERANCE:
             converged = True
             reason = "grad_tolerance"
             break
@@ -138,11 +133,11 @@ def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions) -> Op
                 direction,
                 gfk=grad,
                 old_fval=loss,
-                c1=opts.wolfe_c1,
-                c2=opts.wolfe_c2,
+                c1=_WOLFE_C1,
+                c2=_WOLFE_C2,
             )[0]
         if alpha is None:
-            alpha = _backtrack(evaluate, theta, direction, loss, slope, opts.wolfe_c1)
+            alpha = _backtrack(evaluate, theta, direction, loss, slope)
         if alpha is None:
             reason = "line_search_failed"
             break
@@ -163,7 +158,7 @@ def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions) -> Op
         theta, loss, grad = theta_new, loss_new, grad_new
         cache.clear()
         cache[theta.tobytes()] = (loss, grad)
-        if decrease <= opts.loss_tolerance:
+        if decrease <= _LOSS_TOLERANCE:
             converged = True
             reason = "loss_tolerance"
             break
@@ -171,12 +166,12 @@ def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions) -> Op
     return OptimizeResult(theta, loss, iterations, evals[0], converged, reason)
 
 
-def _backtrack(evaluate, theta, direction, loss, slope, c1):
+def _backtrack(evaluate, theta, direction, loss, slope):
     """Armijo backtracking; returns None when no decrease is achievable."""
     alpha = 1.0
     for _ in range(60):
         trial_loss = evaluate(theta + alpha * direction)[0]
-        if trial_loss <= loss + c1 * alpha * slope:
+        if trial_loss <= loss + _WOLFE_C1 * alpha * slope:
             return alpha
         alpha *= 0.5
     return None
@@ -194,7 +189,7 @@ def minimize(objective: Objective, theta0, opts: OptimizerOptions = OptimizerOpt
     if not (opts.random_restart and result.loss_star > _RESTART_LOSS):
         return result
 
-    rng = np.random.default_rng(opts.restart_seed)
+    rng = np.random.default_rng(_RESTART_SEED)
     alt = _run(objective, rng.uniform(-np.pi, np.pi, size=theta0.shape), opts)
     best = alt if alt.loss_star < result.loss_star else result
     return replace(

@@ -280,18 +280,36 @@ def require_keys(doc, keys: tuple[str, ...], what: str) -> None:
             raise ValueError(f"{what} is missing key '{key}'")
 
 
+_JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
+def require_types(doc: dict, types: dict, what: str) -> None:
+    """Reject a value whose JSON type its key does not allow.
+
+    `types` maps each key to a tuple of allowed Python types. JSON has one
+    number type, so an int passes where float is allowed; a bool is never
+    a number.
+    """
+    for key, allowed in types.items():
+        value = doc[key]
+        kind = float if type(value) is int else type(value)
+        if type(value) not in allowed and kind not in allowed:
+            expected = " or ".join(_JSON_NAMES[t] for t in allowed)
+            raise ValueError(f"{what} {key} must be {expected}, got {json.dumps(value)}")
+
+
 def library_from_json(text: str) -> TrainedLibrary:
     """Parse a library document, rejecting with ValueError any document that
-    lacks a key, whose config is not a positive integer qubit/layer count,
-    or whose clusters have repeated ids, a theta_star that does not fit the
-    ansatz, or a centroid that is not a finite unit vector of length 2^n."""
+    lacks a key or holds a value of the wrong JSON type, whose config is not
+    a positive integer qubit/layer count, or whose clusters have repeated
+    ids, a theta_star that does not fit the ansatz, or a centroid that is
+    not a finite unit vector of length 2^n."""
     doc = json.loads(text)
     require_keys(doc, ("config", "clusters", "fingerprint", "offline_seconds"), "library")
+    require_types(doc, {"fingerprint": (str,), "offline_seconds": (float,)}, "library")
     require_keys(doc["config"], ("num_qubits", "layers"), "library config")
-    for key in ("num_qubits", "layers"):
-        value = doc["config"][key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"library config {key} must be an integer, got {value!r}")
+    require_types(doc["config"], {"num_qubits": (int,), "layers": (int,)}, "library config")
     config = AnsatzConfig(num_qubits=doc["config"]["num_qubits"], layers=doc["config"]["layers"])
     if not isinstance(doc["clusters"], list):
         raise ValueError("library clusters must be a JSON list")
@@ -299,6 +317,7 @@ def library_from_json(text: str) -> TrainedLibrary:
     for entry in doc["clusters"]:
         require_keys(entry, ("id", "centroid", "theta_star", "train_fidelity"), "library cluster")
         cid = entry["id"]
+        require_types(entry, {"id": (int,), "train_fidelity": (float,)}, f"library cluster {cid}")
         if any(model.cluster_id == cid for model in clusters):
             raise ValueError(f"library cluster id {cid!r} is not unique")
         centroid = np.asarray(entry["centroid"], dtype=float)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from enqode.ansatz import AnsatzConfig, build, cy_pairs, invert_epilogue
-from enqode.circuit import GateKind, to_json
+from enqode.circuit import GateKind
 from enqode.symbolic import OverlapModel
 
 
@@ -40,9 +40,10 @@ def test_cy_pairs_alternate():
 
 
 def test_build_is_deterministic():
-    a = to_json(build(AnsatzConfig(5, 3)).logical_circuit)
-    b = to_json(build(AnsatzConfig(5, 3)).logical_circuit)
-    assert a == b
+    a = build(AnsatzConfig(5, 3)).logical_circuit
+    b = build(AnsatzConfig(5, 3)).logical_circuit
+    assert a.gates == b.gates
+    assert a.num_params == b.num_params
 
 
 @given(st.integers(2, 6), st.integers(1, 5))

@@ -1,9 +1,7 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
-from enqode.circuit import Circuit, Gate, GateKind, from_json, metrics, to_json
+from enqode.circuit import Circuit, Gate, GateKind, metrics
 
 
 def test_cy_on_empty_circuit():
@@ -140,26 +138,3 @@ def test_swapping_adjacent_disjoint_gates_preserves_metrics(case, data):
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
     assert metrics(_circuit_of(n, gates)) == metrics(_circuit_of(n, swapped))
 
-
-def test_json_schema_field_names():
-    c = Circuit(2).rz(0, slot=0).cy(0, 1).rx(1, angle=-0.5)
-    doc = json.loads(to_json(c))
-    assert set(doc) == {"num_qubits", "num_params", "gates"}
-    assert doc["gates"][0] == {"kind": "RZ", "qubits": [0], "slot": 0}
-    assert doc["gates"][1] == {"kind": "CY", "qubits": [0, 1]}
-    assert doc["gates"][2] == {"kind": "RX", "qubits": [1], "angle": -0.5}
-
-
-def test_json_round_trip():
-    c = Circuit(3).rz(0, slot=0).sx(1).cx(1, 2).rz(2, slot=1).swap(0, 2)
-    again = from_json(to_json(c))
-    assert again.num_qubits == c.num_qubits
-    assert again.num_params == c.num_params
-    assert again.gates == c.gates
-
-
-def test_from_json_rejects_unknown_kind():
-    bad = json.dumps({"num_qubits": 1, "num_params": 0,
-                      "gates": [{"kind": "H", "qubits": [0]}]})
-    with pytest.raises(ValueError):
-        from_json(bad)

@@ -1,14 +1,16 @@
 """End-to-end command tests: exit codes, artifacts, config merging, inspect."""
 
+import dataclasses
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import datasets
 from enqode import cli
-from enqode.circuit import Circuit, to_json
 from enqode.cli import EXIT_ALL_FAILED, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from enqode.dataio import load_csv
 from enqode.report import strip_volatile
@@ -66,11 +68,7 @@ def test_prepare_applies_pca_labels_and_subsampling(tmp_path, capsys):
     labels = np.repeat([0, 1, 2], 10)
     raw = _write_csv(tmp_path / "labeled.csv", values, labels)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "target_dims": 4,
-        "has_labels": True,
-        "per_class": 5,
-    }))
+    config.write_text(json.dumps({"has_labels": True, "per_class": 5}))
     out = str(tmp_path / "run")
     code, stdout, _ = run_cli(
         ["prepare", raw, "--config", str(config), "--qubits", "2", "--out", out],
@@ -96,7 +94,7 @@ def test_prepare_impossible_target_dims_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(1)
     raw = _write_csv(tmp_path / "tiny.csv", rng.normal(size=(3, 8)))
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"target_dims": 4}))
+    config.write_text(json.dumps({"qubits": 2}))
     code, _, stderr = run_cli(
         ["prepare", raw, "--config", str(config), "--out", str(tmp_path / "o")],
         capsys)
@@ -125,15 +123,52 @@ def test_prepare_rejects_nan_cell_with_one_line_message(tmp_path, capsys):
 def test_unknown_config_keys_exit_2(tmp_path, capsys):
     raw = _blob_csv(tmp_path)
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"bogus": 1}))
-    code, _, stderr = run_cli(["prepare", raw, "--config", str(config)], capsys)
-    assert code == EXIT_INPUT
-    assert "unknown config keys" in stderr
+    for key in ("bogus", "target_dims"):
+        config.write_text(json.dumps({key: 1}))
+        code, _, stderr = run_cli(["prepare", raw, "--config", str(config)], capsys)
+        assert code == EXIT_INPUT
+        assert f"unknown config keys: ['{key}']" in stderr
 
-    config.write_text(json.dumps({"optimizer": {"turbo": True}}))
-    code, _, stderr = run_cli(["prepare", raw, "--config", str(config)], capsys)
+    for key in ("turbo", "wolfe_c1"):
+        config.write_text(json.dumps({"optimizer": {key: 0.5}}))
+        code, _, stderr = run_cli(["prepare", raw, "--config", str(config)], capsys)
+        assert code == EXIT_INPUT
+        assert f"unknown optimizer config keys: ['{key}']" in stderr
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"optimizer": {"random_restart": "no"}},
+     'optimizer config random_restart must be true or false, got "no"'),
+    ({"jobs": True}, "config jobs must be an integer, got true"),
+    ({"kmax": 2.5}, "config kmax must be an integer or null, got 2.5"),
+    ({"noise_p1": "0.1"}, 'config noise_p1 must be a number, got "0.1"'),
+    ({"qubits": "8"}, 'config qubits must be an integer, got "8"'),
+    ({"seed": 1.5}, "config seed must be an integer, got 1.5"),
+    ({"floor": "0.9"}, 'config floor must be a number, got "0.9"'),
+], ids=["restart_string", "jobs_bool", "kmax_float", "noise_string", "qubits_string",
+        "seed_float", "floor_string"])
+def test_mistyped_config_values_exit_2(tmp_path, capsys, doc, message):
+    raw = _blob_csv(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code, stdout, stderr = run_cli(
+        ["prepare", raw, "--config", str(config), "--out", str(out)], capsys)
     assert code == EXIT_INPUT
-    assert "unknown optimizer config keys" in stderr
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_accepts_integer_floats_and_null_optionals(tmp_path, capsys):
+    raw = _blob_csv(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"floor": 1, "noise_p1": 0, "kmax": None,
+                                  "per_class": None, "qubits": 2}))
+    code, stdout, _ = run_cli(
+        ["prepare", raw, "--config", str(config), "--out", str(tmp_path / "run")], capsys)
+    assert code == EXIT_OK
+    assert "prepared 12 rows" in stdout
 
 
 # -- train -------------------------------------------------------------------
@@ -349,17 +384,11 @@ def test_inspect_recognizes_all_documents(tmp_path, capsys):
     assert "comparison report" in stdout
     assert "depth_ratio" in stdout
 
-    circuit_path = tmp_path / "circuit.json"
-    circuit_path.write_text(to_json(Circuit(2).rz(0, slot=0).cx(0, 1)))
-    code, stdout, _ = run_cli(["inspect", str(circuit_path)], capsys)
-    assert code == EXIT_OK
-    assert "circuit: 2 qubits, 2 gates" in stdout
-
     unknown = tmp_path / "junk.json"
     unknown.write_text(json.dumps({"foo": 1}))
     code, _, stderr = run_cli(["inspect", str(unknown)], capsys)
     assert code == EXIT_INPUT
-    assert "not a library, circuit, or report" in stderr
+    assert "not a library or report document" in stderr
 
 
 def test_inspect_rejects_documents_missing_keys(tmp_path, capsys):
@@ -400,27 +429,43 @@ def test_inspect_rejects_documents_missing_keys(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
-_CIRCUIT_DOC = {"num_qubits": 2, "num_params": 1,
-                "gates": [{"kind": "rz", "qubits": [0], "slot": 0},
-                          {"kind": "cx", "qubits": [0, 1]}]}
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A trained library and its comparison report, as parsed JSON."""
+    tmp = tmp_path_factory.mktemp("documents")
+    raw = _blob_csv(tmp)
+    out = str(tmp / "run")
+    args = ["--qubits", "2", "--layers", "2", "--out", out]
+    for argv in (["prepare", raw, *args], ["train", *args], ["compare", *args]):
+        assert main(argv) == EXIT_OK
+    return {name: json.loads((tmp / "run" / f"{name}.json").read_text())
+            for name in ("library", "report")}
 
 
-@pytest.mark.parametrize("breakage, message", [
-    (lambda doc: doc.pop("num_params"), "circuit is missing key 'num_params'"),
-    (lambda doc: doc["gates"][1].pop("kind"), "circuit gate 1 is missing key 'kind'"),
-    (lambda doc: doc["gates"][0].pop("qubits"), "circuit gate 0 is missing key 'qubits'"),
-    (lambda doc: doc["gates"].__setitem__(0, 3), "circuit gate 0 must be a JSON object"),
-], ids=["no_num_params", "gate_without_kind", "gate_without_qubits", "gate_not_object"])
-def test_inspect_rejects_malformed_circuits(tmp_path, capsys, breakage, message):
-    doc = json.loads(json.dumps(_CIRCUIT_DOC))
+@pytest.mark.parametrize("name, breakage, message", [
+    ("report", lambda doc: doc["aggregate"]["enqode"].__setitem__("depth_mean", "abc"),
+     "report aggregate 'enqode' depth_mean must be a number"),
+    ("report", lambda doc: doc["aggregate"]["ratios"].__setitem__("gate_ratio", "abc"),
+     "report ratios gate_ratio must be a number or null"),
+    ("library", lambda doc: doc.__setitem__("fingerprint", 5),
+     "library fingerprint must be a string, got 5"),
+    ("library", lambda doc: doc["clusters"][1].__setitem__("train_fidelity", "abc"),
+     "library cluster 1 train_fidelity must be a number"),
+    ("library", lambda doc: doc.__setitem__("offline_seconds", "abc"),
+     "library offline_seconds must be a number"),
+], ids=["report_depth_mean", "report_ratio", "library_fingerprint",
+        "library_train_fidelity", "library_offline_seconds"])
+def test_inspect_rejects_mistyped_documents(tmp_path, capsys, documents, name, breakage,
+                                            message):
+    doc = json.loads(json.dumps(documents[name]))
     breakage(doc)
-    broken = tmp_path / "circuit.json"
+    broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
     code, stdout, stderr = run_cli(["inspect", str(broken)], capsys)
     assert code == EXIT_INPUT
     assert stdout == ""
-    assert stderr == f"error: {message}\n"
-    assert "Traceback" not in stderr
+    assert stderr.startswith(f"error: {message}")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
 
 
 # -- config merging ----------------------------------------------------------
@@ -453,3 +498,28 @@ def test_config_file_supplies_positional_paths(tmp_path, capsys):
     code, _, stderr = run_cli(["prepare", "--out", out], capsys)
     assert code == EXIT_INPUT
     assert "prepare needs an input CSV" in stderr
+
+
+def _readme_config_section():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return readme.read_text(encoding="utf-8").split("### Config files", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_config_example_and_keys_match_run_config(tmp_path):
+    section = _readme_config_section()
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    config = tmp_path / "run.json"
+    config.write_text(example)
+    args = cli._build_parser().parse_args(["train", "--config", str(config)])
+    echo = cli.load_run_config(args).echo()
+    for key, value in json.loads(example).items():
+        if key == "optimizer":
+            assert value.items() <= echo[key].items()
+        else:
+            assert echo[key] == value
+
+    # each bullet names config-only keys in backticks before its colon
+    config_only = {name for line in section.splitlines() if line.startswith("- ")
+                   for name in re.findall(r"`(\w+)`", line.split(":", 1)[0])}
+    assert {"basis", "has_labels", "per_class", "input", "optimizer"} <= config_only
+    assert config_only <= {f.name for f in dataclasses.fields(cli.RunConfig)}

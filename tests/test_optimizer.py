@@ -23,10 +23,6 @@ def test_quadratic_bowl_converges_fast():
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        OptimizerOptions(wolfe_c1=0.5, wolfe_c2=0.3)
-    with pytest.raises(ValueError):
-        OptimizerOptions(history_size=0)
-    with pytest.raises(ValueError):
         OptimizerOptions(max_iters=0)
 
 
@@ -155,7 +151,7 @@ def test_restart_only_improves():
     theta0 = np.zeros(bundle.num_params)
     plain = minimize(model.loss_and_grad, theta0)
     restarted = minimize(model.loss_and_grad, theta0,
-                         OptimizerOptions(random_restart=True, restart_seed=1))
+                         OptimizerOptions(random_restart=True))
     assert restarted.loss_star <= plain.loss_star + 1e-12
 
 

@@ -247,6 +247,8 @@ def test_library_from_json_rejects_malformed_documents():
         (lambda doc: doc["config"].update(num_qubits=2.5), "num_qubits must be an integer"),
         (lambda doc: doc["config"].update(layers=True), "layers must be an integer"),
         (lambda doc: doc.update(clusters={}), "clusters must be a JSON list"),
+        (lambda doc: doc["clusters"][0].update(id="a"),
+         'cluster a id must be an integer, got "a"'),
         (lambda doc: doc["clusters"][0].pop("centroid"), "missing key 'centroid'"),
         (lambda doc: doc["clusters"][0]["theta_star"].append(0.0), "theta_star must be 4"),
         (lambda doc: doc["clusters"][0]["theta_star"].__setitem__(0, float("nan")),
