@@ -149,7 +149,10 @@ def cmd_prepare(config: RunConfig) -> int:
     if config.per_class is not None:
         data = dataio.subsample_per_class(data, config.per_class, config.seed)
     if data.dims != config.dims:
-        data = dataio.pca_reduce(data, config.dims)
+        try:
+            data = dataio.pca_reduce(data, config.dims)
+        except ValueError as exc:
+            raise ValueError(f"qubits {config.qubits}: {exc}") from None
     data = dataio.l2_normalize(data)
     os.makedirs(config.out, exist_ok=True)
     out_path = config.dataset_path()

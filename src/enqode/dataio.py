@@ -99,7 +99,8 @@ def pca_reduce(data: Dataset, target_dims: int) -> Dataset:
         raise ValueError("target_dims must be positive")
     if target_dims > min(data.rows, data.dims):
         raise ValueError(
-            f"target_dims {target_dims} exceeds min(rows, dims) = {min(data.rows, data.dims)}"
+            f"PCA to {target_dims} dims needs at least {target_dims} rows and "
+            f"{target_dims} features, got {data.rows} rows x {data.dims} features"
         )
     centered = data.values - data.values.mean(axis=0)
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)

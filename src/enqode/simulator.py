@@ -7,28 +7,38 @@ permutation restores the layout. Qubit q is bit q of the basis index, so it
 is tensor axis n-1-q of a statevector.
 
 The statevector simulator applies each gate unitary at rank n. The noisy
-simulator evolves the density matrix as a rank-2n tensor (row axes, then
-column axes). Each physical gate together with its depolarizing channel is
-one d^2 x d^2 superoperator, (1-p) U (x) conj(U) plus p/d on the entries
-that map the support's trace onto its identity; RZ is a noiseless virtual
-frame change whose superoperator is the diagonal (1, e^-it, e^it, 1).
+simulator never holds rho itself while it runs. It evolves the Pauli
+coordinates c_P = tr(P rho), one per Pauli string P, so that
+rho = sum_P c_P P / 2^n. Qubit q is base-4 digit q of the coordinate index
+(0, 1, 2, 3 = I, X, Y, Z), which `_apply` sees as the two tensor axes
+2(n-1-q) and 2(n-1-q)+1 of a rank-2n tensor. |0...0><0...0| has
+coordinates (1, 0, 0, 1) on every qubit. A gate U followed by its
+depolarizing channel maps coordinates linearly through its Pauli transfer
+matrix (PTM), diag(1, 1-p, ..., 1-p) R_U with (R_U)_ij = tr(P_i U P_j U^dag)/d.
+Every channel here maps Hermitian matrices to Hermitian matrices, so the
+coordinates and every PTM are real: a pass is a real GEMM on half the bytes
+of a complex rho. RZ is a noiseless virtual frame change; its PTM rotates
+the qubit's X and Y coordinates by the angle, so it is applied as a
+rotation of two rows of whatever block it joins, never as a matrix
+product. rho is built from the coordinates once, at the end.
 
-Superoperators are composed before they touch rho. Each qubit holds either
-a pending 4x4 superoperator (the one-qubit gates on it not yet applied) or
-a place in one open 16x16 block on a qubit pair. A gate whose qubits all
-lie in one open block multiplies into it, in either orientation of the
-pair; a one-qubit gate on a qubit outside any block composes into that
-qubit's pending superoperator. A two-qubit gate on any other pair flushes
-the open blocks on its qubits into rho (one `_apply` pass each) and opens
-a new block that absorbs the pending superoperators of its qubits. At the
-end every open block and pending superoperator gets one pass. Routed
-circuits repeat pairs (a SWAP is three CX on one pair, and one-qubit gates
-bracket each CX), so most gates cost a 16x16 product instead of a pass.
+PTMs are composed before they touch the coordinates. Each qubit holds
+either a pending 4x4 PTM (the one-qubit gates on it not yet applied) or a
+place in one open 16x16 block on a qubit pair, indexed 4*p_a + p_b. A gate
+whose qubits all lie in one open block multiplies into it, in either
+orientation of the pair; a one-qubit gate on a qubit outside any block
+composes into that qubit's pending PTM. A two-qubit gate on any other pair
+flushes the open blocks on its qubits (one `_apply` pass each) and opens a
+new block that absorbs the pending PTMs of its qubits. At the end every
+open block gets one pass, and the PTMs still pending are folded into the
+per-qubit conversion back to rho. Routed circuits repeat pairs (a SWAP is
+three CX on one pair, and one-qubit gates bracket each CX), so most gates
+cost a 16x16 product instead of a pass.
 
 This is exact, not an approximation: a composition of channels is a
-channel whose superoperator is the product of theirs, and operations on
-disjoint qubits commute, so deferring each block or pending superoperator
-until a gate overlaps it leaves rho unchanged up to rounding.
+channel whose PTM is the product of theirs, and operations on disjoint
+qubits commute, so deferring each block or pending PTM until a gate
+overlaps it leaves the state unchanged up to rounding.
 
 Density matrices are capped at 10 qubits (a 1024 x 1024 complex matrix);
 the intended working size is 8.
@@ -181,50 +191,60 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
 
 
-def _superoperator(u: np.ndarray, p: float) -> np.ndarray:
-    """rho -> (1-p) U rho U^dag + p (I/d (x) tr_support rho) on the support,
-    as a matrix on row-major vec(rho): index = d*row + column."""
-    d = u.shape[0]
-    sop = (1.0 - p) * np.kron(u, u.conj())
-    trace = np.arange(d) * (d + 1)
-    sop[np.ix_(trace, trace)] += p / d
-    return sop
-
-
 _PHYSICAL_BASIS = frozenset({GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX, GateKind.ECR})
-_I4 = np.eye(4, dtype=complex)
-
-# A block on the ordered pair (a, b) indexes rho's entries on the pair as
-# 8*row_a + 4*row_b + 2*col_a + col_b. For each block index, _KRON_ORDER is
-# the same entry in np.kron(s_a, s_b) order (row_a, col_a, row_b, col_b),
-# _SWAPPED_ORDER the same entry in (b, a) block order, and _QUBIT_ENTRY[j]
-# the (row, col) index 2*row + col of the pair's j-th qubit.
-_ROW_A, _ROW_B, _COL_A, _COL_B = ((np.arange(16) >> k) & 1 for k in (3, 2, 1, 0))
-_KRON_ORDER = 8 * _ROW_A + 4 * _COL_A + 2 * _ROW_B + _COL_B
-_SWAPPED_ORDER = 8 * _ROW_B + 4 * _ROW_A + 2 * _COL_B + _COL_A
-_QUBIT_ENTRY = (2 * _ROW_A + _COL_A, 2 * _ROW_B + _COL_B)
-
-
-def _reorder(sop: np.ndarray, order: np.ndarray) -> np.ndarray:
-    return sop[np.ix_(order, order)]
+_I4 = np.eye(4)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAIR_PAULIS = np.einsum("iab,jcd->ijacbd", _PAULIS, _PAULIS).reshape(16, 4, 4)
+# Coordinates (I, X, Y, Z) of one qubit in |0><0|, and rho's entries on one
+# qubit, 2*row + col, as a map from its coordinates.
+_ZERO_COORDS = np.array([1.0, 0.0, 0.0, 1.0])
+_TO_DENSITY = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+# Block index 4*p_a + p_b on the pair (a, b) for index 4*p_b + p_a on (b, a).
+_SWAPPED = np.array([4 * (i % 4) + i // 4 for i in range(16)])
+# The X and Y rows of a qubit: in its pending 4x4, and at position 0 or 1 of a block.
+_PENDING_XY = (1, 2)
+_BLOCK_XY = ((slice(4, 8), slice(8, 12)), (slice(1, None, 4), slice(2, None, 4)))
 
 
-def _lift(sop_a: np.ndarray, sop_b: np.ndarray) -> np.ndarray:
-    """One-qubit superoperators on a and b as one 16x16 block on (a, b)."""
-    return _reorder(np.kron(sop_a, sop_b), _KRON_ORDER)
+def _ptm(u: np.ndarray, p: float) -> np.ndarray:
+    """Pauli transfer matrix of rho -> U rho U^dag followed by depolarizing
+    noise p on the support: diag(1, 1-p, ..., 1-p) R_U, where
+    (R_U)_ij = tr(P_i U P_j U^dag) / d and P_i is indexed 4*p_a + p_b on a pair."""
+    d = u.shape[0]
+    paulis = _PAULIS if d == 2 else _PAIR_PAULIS
+    conjugated = u @ paulis @ u.conj().T
+    ptm = np.einsum("iab,jba->ij", paulis, conjugated).real / d
+    ptm[1:] *= 1.0 - p
+    return ptm
 
 
-def _rz_diagonal(angle: float) -> np.ndarray:
-    """Superoperator diagonal of RZ(angle) on (row, col) = 2*row + col."""
-    phase = np.exp(-1j * angle)
-    return np.array([1.0, phase, phase.conjugate(), 1.0])
+def _rotate_xy(block: np.ndarray, rows: tuple, angle: float) -> np.ndarray:
+    """RZ(angle) after `block`: its X and Y rows rotated by angle, in a new array."""
+    c, s = np.cos(angle), np.sin(angle)
+    x_rows, y_rows = rows
+    x, y = block[x_rows], block[y_rows]
+    out = block.copy()
+    out[x_rows] = c * x - s * y
+    out[y_rows] = s * x + c * y
+    return out
+
+
+def _to_density(coords: np.ndarray, n: int, pending: dict[int, np.ndarray]) -> np.ndarray:
+    """rho = sum_P c_P P / 2^n from coordinates c (qubit q is base-4 digit q),
+    after applying `pending[q]`, a 4x4 PTM not yet applied to qubit q."""
+    t = coords
+    for q in reversed(range(n)):  # the leading digit is qubit n-1; each step rotates it to the end
+        factor = _TO_DENSITY @ pending[q] if q in pending else _TO_DENSITY
+        t = (factor @ t.reshape(4, -1)).T
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    return t.reshape((2,) * 2 * n).transpose(order).reshape(1 << n, 1 << n)
 
 
 def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel) -> DensityMatrix:
     """Density-matrix evolution with a depolarizing channel after each
     physical gate (p1 on one-qubit support, p2 on two-qubit support) and
     none after RZ; gates are composed per qubit and per qubit pair before
-    they are applied (see the module notes)."""
+    they are applied to the Pauli coordinates (see the module notes)."""
     n = circuit.num_qubits
     if n > _MAX_DENSITY_QUBITS:
         raise ValueError(f"density simulation capped at {_MAX_DENSITY_QUBITS} qubits")
@@ -236,35 +256,36 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
 
-    fixed: dict[tuple, np.ndarray] = {}  # angle-free superoperators by (kind, form)
+    fixed: dict[tuple, np.ndarray] = {}  # angle-free PTMs by (kind, form); never mutated
 
-    def superoperator(gate: Gate, form) -> np.ndarray:
+    def ptm(gate: Gate, form) -> np.ndarray:
         """form None: the gate's own basis; 0 or 1: a one-qubit gate lifted
         onto that position of a block; "swapped": a two-qubit gate in the
         block order of its reversed pair."""
-        sop = fixed.get((gate.kind, form))
-        if sop is None:
+        r = fixed.get((gate.kind, form))
+        if r is None:
             if form is None:
                 p = noise.p2 if gate.kind in TWO_QUBIT_KINDS else noise.p1
-                sop = _superoperator(gate_matrix(gate), p)
+                r = _ptm(gate_matrix(gate), p)
             elif form == "swapped":
-                sop = _reorder(superoperator(gate, None), _SWAPPED_ORDER)
+                r = ptm(gate, None)[np.ix_(_SWAPPED, _SWAPPED)]
             else:
-                own = superoperator(gate, None)
-                sop = _lift(own, _I4) if form == 0 else _lift(_I4, own)
-            fixed[(gate.kind, form)] = sop
-        return sop
+                own = ptm(gate, None)
+                r = np.kron(own, _I4) if form == 0 else np.kron(_I4, own)
+            fixed[(gate.kind, form)] = r
+        return r
 
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
-    rho[0, 0] = 1.0
-    pending: dict[int, np.ndarray] = {}  # qubit -> its unapplied 4x4 superoperator
-    blocks: dict[tuple[int, int], np.ndarray] = {}  # open pair -> 16x16 superoperator
+    coords = np.ones(1)
+    for _ in range(n):
+        coords = np.kron(coords, _ZERO_COORDS)
+    pending: dict[int, np.ndarray] = {}  # qubit -> its unapplied 4x4 PTM
+    blocks: dict[tuple[int, int], np.ndarray] = {}  # open pair -> 16x16 PTM
     open_pair: dict[int, tuple[int, int]] = {}  # qubit -> the open pair holding it
 
     def flush(pair: tuple[int, int]) -> None:
-        nonlocal rho
-        axes = tuple(n - 1 - q for q in pair)
-        rho = _apply(rho, blocks.pop(pair), axes + tuple(a + n for a in axes), 2 * n)
+        nonlocal coords
+        axes = tuple(a for q in pair for a in (2 * (n - 1 - q), 2 * (n - 1 - q) + 1))
+        coords = _apply(coords, blocks.pop(pair), axes, 2 * n)
         for q in pair:
             del open_pair[q]
 
@@ -274,37 +295,34 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
             q = qubits[0]
             pair = open_pair.get(q)
             if gate.is_virtual:
-                diagonal = _rz_diagonal(_angle(gate, theta))
+                angle = _angle(gate, theta)
                 if pair is not None:
-                    rows = diagonal[_QUBIT_ENTRY[pair.index(q)]]
-                    blocks[pair] = rows[:, None] * blocks[pair]
+                    blocks[pair] = _rotate_xy(blocks[pair], _BLOCK_XY[pair.index(q)], angle)
                 else:
-                    pending[q] = diagonal[:, None] * pending.get(q, _I4)
+                    pending[q] = _rotate_xy(pending.get(q, _I4), _PENDING_XY, angle)
             elif pair is not None:
-                blocks[pair] = superoperator(gate, pair.index(q)) @ blocks[pair]
+                blocks[pair] = ptm(gate, pair.index(q)) @ blocks[pair]
             else:
-                sop = superoperator(gate, None)
-                pending[q] = sop @ pending[q] if q in pending else sop
+                r = ptm(gate, None)
+                pending[q] = r @ pending[q] if q in pending else r
             continue
         pair = open_pair.get(qubits[0])
         if pair is not None and pair == open_pair.get(qubits[1]):
             form = None if pair == qubits else "swapped"
-            blocks[pair] = superoperator(gate, form) @ blocks[pair]
+            blocks[pair] = ptm(gate, form) @ blocks[pair]
             continue
         for q in qubits:
             if q in open_pair:
                 flush(open_pair[q])
-        block = superoperator(gate, None)
+        block = ptm(gate, None)
         if qubits[0] in pending or qubits[1] in pending:
-            block = block @ _lift(pending.pop(qubits[0], _I4), pending.pop(qubits[1], _I4))
+            block = block @ np.kron(pending.pop(qubits[0], _I4), pending.pop(qubits[1], _I4))
         blocks[qubits] = block
         for q in qubits:
             open_pair[q] = qubits
     for pair in list(blocks):
         flush(pair)
-    for q, sop in pending.items():
-        rho = _apply(rho, sop, (n - 1 - q, 2 * n - 1 - q), 2 * n)
-    return DensityMatrix(n, rho)
+    return DensityMatrix(n, _to_density(coords, n, pending))
 
 
 def fidelity_to_pure(rho: DensityMatrix, target: np.ndarray) -> float:

@@ -240,3 +240,34 @@ def reference_noisy_density(num_qubits, gates, p1, p2, theta=None):
             p = p2 if len(gate.qubits) == 2 else p1
         rho = _reference_evolve_gate(rho, u, tuple(gate.qubits), p, n)
     return rho
+
+
+# ------------------------------------------------------ Pauli coordinates
+
+PAULIS = (I2, X, Y, Z)
+
+
+def pauli_string(index, n):
+    """The n-qubit Pauli operator whose qubit q carries base-4 digit q of
+    index (0, 1, 2, 3 = I, X, Y, Z)."""
+    return _kron_chain([PAULIS[(index >> (2 * q)) & 3] for q in reversed(range(n))])
+
+
+def pauli_coordinates(rho, n):
+    """c_P = tr(P rho) for every Pauli string P, indexed as in pauli_string."""
+    return np.array([np.trace(pauli_string(k, n) @ rho).real for k in range(4**n)])
+
+
+def pauli_transfer_matrix(u, p):
+    """R_ij = tr(P_i E(P_j)) / d for the channel
+    E(rho) = (1-p) U rho U^dag + p tr(rho) I/d on u's own qubits (u's
+    row-major basis puts its first qubit on the most significant bit)."""
+    d = u.shape[0]
+    n = d.bit_length() - 1
+    strings = [pauli_string(k, n) for k in range(d * d)]
+    out = np.zeros((d * d, d * d))
+    for j, pj in enumerate(strings):
+        image = (1 - p) * u @ pj @ u.conj().T + p * np.trace(pj) * np.eye(d) / d
+        for i, pi in enumerate(strings):
+            out[i, j] = np.trace(pi @ image).real / d
+    return out

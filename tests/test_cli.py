@@ -99,7 +99,9 @@ def test_prepare_impossible_target_dims_exits_2(tmp_path, capsys):
         ["prepare", raw, "--config", str(config), "--out", str(tmp_path / "o")],
         capsys)
     assert code == EXIT_INPUT
-    assert "target_dims 4 exceeds" in stderr
+    assert stderr.strip() == (
+        "error: qubits 2: PCA to 4 dims needs at least 4 rows and 4 features, "
+        "got 3 rows x 8 features")
 
 
 def test_prepare_rejects_nan_cell_with_one_line_message(tmp_path, capsys):

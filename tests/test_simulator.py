@@ -378,3 +378,96 @@ def test_apply_unitary_is_bit_for_bit_the_moveaxis_path():
             u = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
             got = apply_unitary(state, u, qubits, n)
             assert np.array_equal(got, oracles.reference_apply_unitary(state, u, qubits, n))
+
+
+# ------------------------------------------------- Pauli coordinates and PTMs
+
+
+def _oracle_unitaries(rng):
+    """Every angle-free gate kind from the oracle's matrices (two-qubit ones in
+    the gate's own basis, its first qubit on the most significant bit) and
+    random RX, RY and RZ rotations."""
+    two = [oracles.gate_operator(Gate(kind, (1, 0)), 2)
+           for kind in (GateKind.CX, GateKind.CY, GateKind.SWAP, GateKind.ECR)]
+    rotations = [rotation(float(rng.uniform(-np.pi, np.pi)))
+                 for rotation in (oracles.rx, oracles.ry, oracles.rz) for _ in range(4)]
+    return [oracles.SX, oracles.X, *two, *rotations]
+
+
+def test_noiseless_ptm_is_real_orthogonal_and_fixes_the_identity():
+    for u in _oracle_unitaries(np.random.default_rng(50)):
+        r = simulator._ptm(u, 0.0)
+        size = u.shape[0] ** 2
+        e0 = np.eye(size)[0]
+        assert r.dtype == np.float64 and r.shape == (size, size)
+        assert np.max(np.abs(r @ r.T - np.eye(size))) <= 1e-14
+        assert np.max(np.abs(r[0] - e0)) <= 1e-15 and np.max(np.abs(r[:, 0] - e0)) <= 1e-15
+        assert np.max(np.abs(r - oracles.pauli_transfer_matrix(u, 0.0))) <= 1e-14
+
+
+def test_noisy_ptm_is_depolarizing_scaling_of_the_unitary_ptm():
+    for u in _oracle_unitaries(np.random.default_rng(51)):
+        size = u.shape[0] ** 2
+        for p in (2e-4, 0.07, 0.5, 1.0):
+            scaling = np.diag([1.0] + [1.0 - p] * (size - 1))
+            expected = scaling @ oracles.pauli_transfer_matrix(u, 0.0)
+            assert np.max(np.abs(oracles.pauli_transfer_matrix(u, p) - expected)) <= 1e-14
+            assert np.max(np.abs(simulator._ptm(u, p) - expected)) <= 1e-14
+
+
+def _random_density(rng, n):
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_pauli_coordinates_convert_back_to_rho(num_qubits):
+    rng = np.random.default_rng([52, num_qubits])
+    for _ in range(3):
+        rho = _random_density(rng, num_qubits)
+        coords = oracles.pauli_coordinates(rho, num_qubits)
+        back = simulator._to_density(coords, num_qubits, {})
+        assert np.max(np.abs(back - rho)) <= 1e-14
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_ptm_left_pending_at_the_end_is_folded_into_the_conversion(num_qubits):
+    rng = np.random.default_rng([53, num_qubits])
+    rho = _random_density(rng, num_qubits)
+    q = int(rng.integers(num_qubits))
+    u = oracles.rx(0.4) @ oracles.SX @ oracles.rz(-1.2)
+    got = simulator._to_density(oracles.pauli_coordinates(rho, num_qubits), num_qubits,
+                                {q: oracles.pauli_transfer_matrix(u, 0.0)})
+    full = oracles.embed_one(u, q, num_qubits)
+    assert np.max(np.abs(got - full @ rho @ full.conj().T)) <= 1e-14
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+@pytest.mark.parametrize("num_qubits", [7, 8])
+def test_noisy_matches_reference_on_wide_registers(num_qubits, two_qubit):
+    rng = np.random.default_rng([num_qubits, 54 if two_qubit is GateKind.CX else 55])
+    for noise in _NOISES:
+        circuit = _random_physical_circuit(rng, num_qubits, 32, two_qubit, slots=4)
+        theta = rng.uniform(-np.pi, np.pi, size=4)
+        assert _max_diff_to_reference(circuit, noise, theta) <= 1e-12
+        circuit = _few_pair_circuit(rng, num_qubits, 80, two_qubit)
+        assert _max_diff_to_reference(circuit, noise) <= 1e-12
+
+
+def test_every_noisy_pass_is_real_arithmetic(monkeypatch):
+    rng = np.random.default_rng(56)
+    x = rng.normal(size=32)
+    baseline = compile_exact(x / np.linalg.norm(x), BasisConfig()).physical_circuit
+    with_slots = _random_physical_circuit(rng, 4, 30, GateKind.ECR, slots=3)
+    dtypes = []
+    real = simulator._apply
+
+    def checked(tensor, op, axes, rank):
+        dtypes.append((tensor.dtype, op.dtype))
+        return real(tensor, op, axes, rank)
+
+    monkeypatch.setattr(simulator, "_apply", checked)
+    simulate_noisy(baseline, None, NoiseModel())
+    simulate_noisy(with_slots, rng.uniform(-np.pi, np.pi, size=3), NoiseModel(0.01, 0.02))
+    assert dtypes and set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
