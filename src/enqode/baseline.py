@@ -151,12 +151,14 @@ def lower_to_basis(circuit: Circuit, basis: BasisConfig = BasisConfig()) -> Circ
 
     No merging, no cancellation, no angle simplification: each input gate
     expands independently, mirroring an optimization-level-zero transpile.
-    Parameter slots survive only on RZ, which is already basis-legal.
+    Gates already in the basis pass through as the same objects, so lowering
+    is idempotent. Parameter slots survive only on RZ.
     """
+    legal = (GateKind.RZ, GateKind.SX, GateKind.X, basis.two_qubit_kind)
     out = Circuit(circuit.num_qubits)
     for gate in circuit.gates:
         kind = gate.kind
-        if kind is GateKind.RZ or kind is GateKind.SX or kind is GateKind.X:
+        if kind in legal:
             out.append(gate)
         elif kind in (GateKind.RX, GateKind.RY):
             if gate.angle is None:
@@ -174,8 +176,6 @@ def lower_to_basis(circuit: Circuit, basis: BasisConfig = BasisConfig()) -> Circ
             _lower_cx(out, a, b, basis)
             _lower_cx(out, b, a, basis)
             _lower_cx(out, a, b, basis)
-        elif kind is GateKind.ECR and basis.two_qubit_kind is GateKind.ECR:
-            out.append(gate)
         else:
             raise ValueError(f"no lowering rule for {kind.value} into {basis.two_qubit_kind.value}")
     out.num_params = circuit.num_params
@@ -189,23 +189,23 @@ def route_linear(circuit: Circuit) -> RoutedCircuit:
     time toward the second, each step an inserted SWAP of neighboring
     physical wires. The final logical-to-physical map is returned so
     callers can undo the accumulated permutation on simulated states.
+    A gate whose wires equal its qubits is passed through as it is.
     Inserted SWAPs are IR-level and still need one lowering pass.
     """
     position = list(range(circuit.num_qubits))  # position[logical] = physical wire
     out = Circuit(circuit.num_qubits)
     for gate in circuit.gates:
-        if len(gate.qubits) == 1:
-            out.append(Gate(gate.kind, (position[gate.qubits[0]],),
-                            angle=gate.angle, slot=gate.slot))
-            continue
-        a, b = gate.qubits
-        while abs(position[a] - position[b]) > 1:
-            step = 1 if position[b] > position[a] else -1
-            here, there = position[a], position[a] + step
-            neighbor = position.index(there)
-            out.swap(here, there)
-            position[a], position[neighbor] = there, here
-        out.append(Gate(gate.kind, (position[a], position[b])))
+        if len(gate.qubits) == 2:
+            a, b = gate.qubits
+            while abs(position[a] - position[b]) > 1:
+                step = 1 if position[b] > position[a] else -1
+                here, there = position[a], position[a] + step
+                neighbor = position.index(there)
+                out.swap(here, there)
+                position[a], position[neighbor] = there, here
+        wires = tuple(position[q] for q in gate.qubits)
+        out.append(gate if wires == gate.qubits else
+                   Gate(gate.kind, wires, angle=gate.angle, slot=gate.slot))
     out.num_params = circuit.num_params
     return RoutedCircuit(circuit=out, layout=tuple(position))
 

@@ -3,8 +3,11 @@
 Both simulators share one kernel, `_apply`: the state is viewed as a tensor
 of 2s, the axes a gate touches are moved to the front by a cached
 permutation, one matrix product applies the operator, and the inverse
-permutation restores the layout. Qubit q is bit q of the basis index, so it
-is tensor axis n-1-q of a statevector.
+permutation restores the axis order. The inverse is returned as a
+transposed view, never copied, so each pass copies the state once, in the
+forward transpose that lines its axes up for the product; a simulator
+flattens its state once, at the end. Qubit q is bit q
+of the basis index, so it is tensor axis n-1-q of a statevector.
 
 The statevector simulator applies each gate unitary at rank n. The noisy
 simulator never holds rho itself while it runs. It evolves the Pauli
@@ -20,7 +23,8 @@ coordinates and every PTM are real: a pass is a real GEMM on half the bytes
 of a complex rho. RZ is a noiseless virtual frame change; its PTM rotates
 the qubit's X and Y coordinates by the angle, so it is applied as a
 rotation of two rows of whatever block it joins, never as a matrix
-product. rho is built from the coordinates once, at the end.
+product, and RZ(0) is skipped. rho is built from the coordinates once, at
+the end.
 
 PTMs are composed before they touch the coordinates. Each qubit holds
 either a pending 4x4 PTM (the one-qubit gates on it not yet applied) or a
@@ -101,40 +105,55 @@ def _angle(gate: Gate, theta: np.ndarray | None) -> float:
     return float(theta[gate.slot])
 
 
+_ROTATIONS = {GateKind.RZ: rz_matrix, GateKind.RX: rx_matrix, GateKind.RY: ry_matrix}
+_FIXED = {
+    GateKind.SX: _SX,
+    GateKind.X: _X,
+    GateKind.CX: _CX,
+    GateKind.CY: _CY,
+    GateKind.SWAP: _SWAP,
+    GateKind.ECR: _ECR,
+}
+
+
 def gate_matrix(gate: Gate, theta: np.ndarray | None = None) -> np.ndarray:
     """Unitary of one gate in its own (qubits[0], qubits[1], ...) basis."""
-    if gate.kind in (GateKind.RZ, GateKind.RX, GateKind.RY):
-        return {GateKind.RZ: rz_matrix, GateKind.RX: rx_matrix, GateKind.RY: ry_matrix}[
-            gate.kind
-        ](_angle(gate, theta))
-    return {
-        GateKind.SX: _SX,
-        GateKind.X: _X,
-        GateKind.CX: _CX,
-        GateKind.CY: _CY,
-        GateKind.SWAP: _SWAP,
-        GateKind.ECR: _ECR,
-    }[gate.kind]
+    rotation = _ROTATIONS.get(gate.kind)
+    if rotation is not None:
+        return rotation(_angle(gate, theta))
+    return _FIXED[gate.kind]
 
 
 @lru_cache(maxsize=1024)
-def _permutation(axes: tuple[int, ...], rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order putting `axes` first (the rest keep their order), and its inverse."""
+def _permutation(axes: tuple[int, ...], rank: int) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """Axis order putting `axes` first (the rest keep their order), its
+    inverse, and whether `axes` are the trailing axes in order."""
     forward = axes + tuple(a for a in range(rank) if a not in axes)
     inverse = tuple(int(i) for i in np.argsort(forward))
-    return forward, inverse
+    return forward, inverse, len(axes) < rank and axes == tuple(range(rank - len(axes), rank))
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...], rank: int) -> np.ndarray:
     """op applied to `axes` of `tensor` viewed as a rank-`rank` tensor of 2s.
 
-    axes[0] is the most significant bit of op's index. Returns a new
-    contiguous array shaped like `tensor`.
+    axes[0] is the most significant bit of op's index. Returns a `(2,)*rank`
+    view of a new array, transposed back to the axis order of `tensor` and
+    so in general not contiguous. The operand of the product is the one copy
+    per pass, and a caller flattens the final tensor once with `reshape(-1)`.
+
+    The operand is laid out as the moved axes of a contiguous state would
+    be: row-major, or, for the trailing axes, the state itself read as its
+    transpose. BLAS may round a small product differently for the two
+    layouts (OpenBLAS does for 16x16 by 16x4), so the layout is fixed by
+    `axes` alone, whatever the layout of `tensor`.
     """
-    forward, inverse = _permutation(axes, rank)
-    moved = tensor.reshape((2,) * rank).transpose(forward).reshape(op.shape[1], -1)
-    out = (op @ moved).reshape((2,) * rank).transpose(inverse)
-    return np.ascontiguousarray(out).reshape(tensor.shape)
+    forward, inverse, trailing = _permutation(axes, rank)
+    tensor = tensor.reshape((2,) * rank)
+    if trailing:
+        moved = np.ascontiguousarray(tensor).reshape(-1, op.shape[1]).T
+    else:
+        moved = np.ascontiguousarray(tensor.transpose(forward)).reshape(op.shape[1], -1)
+    return (op @ moved).reshape((2,) * rank).transpose(inverse)
 
 
 def apply_unitary(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -150,11 +169,12 @@ def simulate_ideal(circuit: Circuit, theta: np.ndarray | None = None) -> np.ndar
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (circuit.num_params,):
             raise ValueError(f"expected {circuit.num_params} parameters")
-    state = np.zeros(1 << circuit.num_qubits, dtype=complex)
+    n = circuit.num_qubits
+    state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     for gate in circuit.gates:
-        state = apply_unitary(state, gate_matrix(gate, theta), gate.qubits, circuit.num_qubits)
-    return state
+        state = _apply(state, gate_matrix(gate, theta), tuple(n - 1 - q for q in gate.qubits), n)
+    return state.reshape(-1)
 
 
 @dataclass
@@ -232,7 +252,7 @@ def _rotate_xy(block: np.ndarray, rows: tuple, angle: float) -> np.ndarray:
 def _to_density(coords: np.ndarray, n: int, pending: dict[int, np.ndarray]) -> np.ndarray:
     """rho = sum_P c_P P / 2^n from coordinates c (qubit q is base-4 digit q),
     after applying `pending[q]`, a 4x4 PTM not yet applied to qubit q."""
-    t = coords
+    t = coords.reshape(-1)
     for q in reversed(range(n)):  # the leading digit is qubit n-1; each step rotates it to the end
         factor = _TO_DENSITY @ pending[q] if q in pending else _TO_DENSITY
         t = (factor @ t.reshape(4, -1)).T
@@ -296,6 +316,8 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
             pair = open_pair.get(q)
             if gate.is_virtual:
                 angle = _angle(gate, theta)
+                if angle == 0.0:  # the identity; every lowered RY emits one
+                    continue
                 if pair is not None:
                     blocks[pair] = _rotate_xy(blocks[pair], _BLOCK_XY[pair.index(q)], angle)
                 else:

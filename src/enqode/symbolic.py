@@ -143,8 +143,11 @@ class OverlapModel:
         weighted = np.conj(self.target) * psi
         overlap = weighted.sum()
         loss = 1.0 - (overlap.real**2 + overlap.imag**2)
-        # d(psi_r)/d(theta_j) = psi_r * (i * coeff_rj / 2)
-        moments = weighted @ self.state.coeff_float
+        # d(psi_r)/d(theta_j) = psi_r * (i * coeff_rj / 2). Two real products
+        # spare casting the table to complex on every call; on one BLAS thread
+        # they are bit for bit the complex product.
+        table = self.state.coeff_float
+        moments = weighted.real @ table + 1j * (weighted.imag @ table)
         grad = -2.0 * np.real(np.conj(overlap) * 0.5j * moments)
         return min(max(loss, 0.0), 1.0), grad
 

@@ -181,6 +181,40 @@ def test_lower_random_circuit_preserves_unitary():
         )
 
 
+def _random_logical_circuit(rng, num_qubits, length):
+    """Every kind `lower_to_basis` accepts in the CX basis, on random qubits;
+    a third of the RZs take a parameter slot."""
+    kinds = (GateKind.RY, GateKind.RX, GateKind.RZ, GateKind.SX, GateKind.X,
+             GateKind.CX, GateKind.CY, GateKind.SWAP)
+    circuit = Circuit(num_qubits)
+    for _ in range(length):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind in (GateKind.CX, GateKind.CY, GateKind.SWAP):
+            circuit.append(Gate(kind, tuple(int(v) for v in rng.choice(num_qubits, 2, replace=False))))
+        elif kind is GateKind.RZ and rng.random() < 1 / 3:
+            circuit.rz(int(rng.integers(num_qubits)), slot=int(rng.integers(3)))
+        elif kind in (GateKind.RY, GateKind.RX, GateKind.RZ):
+            angle = float(rng.uniform(-np.pi, np.pi))
+            circuit.append(Gate(kind, (int(rng.integers(num_qubits)),), angle=angle))
+        else:
+            circuit.append(Gate(kind, (int(rng.integers(num_qubits)),)))
+    return circuit
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+def test_lower_is_idempotent_on_lowered_circuits(two_qubit):
+    basis = BasisConfig(two_qubit_kind=two_qubit)
+    rng = np.random.default_rng([25, 0 if two_qubit is GateKind.CX else 1])
+    for num_qubits in (2, 3, 5):
+        lowered = lower_to_basis(_random_logical_circuit(rng, num_qubits, 40), basis)
+        again = lower_to_basis(lowered, basis)
+        assert again.gates == lowered.gates
+        assert again.num_params == lowered.num_params
+    for num_qubits in range(2, 7):
+        physical = compile_exact(_random_unit(rng, 1 << num_qubits), basis).physical_circuit
+        assert lower_to_basis(physical, basis).gates == physical.gates
+
+
 # -- routing -----------------------------------------------------------------
 
 

@@ -380,6 +380,23 @@ def test_apply_unitary_is_bit_for_bit_the_moveaxis_path():
             assert np.array_equal(got, oracles.reference_apply_unitary(state, u, qubits, n))
 
 
+def test_apply_does_not_depend_on_the_layout_of_its_input():
+    # _apply returns transposed views; a pass on one must give the bits it
+    # gives on a contiguous copy, for every pair of qubit pairs in a row.
+    rng = np.random.default_rng(58)
+    for n in (2, 3, 4):
+        rank = 2 * n
+        pairs = [tuple(a for q in pair for a in (2 * (n - 1 - q), 2 * (n - 1 - q) + 1))
+                 for pair in ((a, b) for a in range(n) for b in range(n) if a != b)]
+        tensor = rng.normal(size=(2,) * rank)
+        for first in pairs:
+            view = simulator._apply(tensor, rng.normal(size=(16, 16)), first, rank)
+            for second in pairs:
+                op = rng.normal(size=(16, 16))
+                got = simulator._apply(view, op, second, rank)
+                assert np.array_equal(got, simulator._apply(np.ascontiguousarray(view), op, second, rank))
+
+
 # ------------------------------------------------- Pauli coordinates and PTMs
 
 
@@ -471,3 +488,74 @@ def test_every_noisy_pass_is_real_arithmetic(monkeypatch):
     simulate_noisy(baseline, None, NoiseModel())
     simulate_noisy(with_slots, rng.uniform(-np.pi, np.pi, size=3), NoiseModel(0.01, 0.02))
     assert dtypes and set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+
+# ------------------------------------------------------ RZ(0) is skipped
+
+
+def _open_block_positions(gates):
+    """For each RZ, where the noisy simulator's fusion rules find its qubit:
+    None outside any open block, else its position (0 or 1) in the pair."""
+    open_pair: dict[int, tuple] = {}
+    positions = []
+    for gate in gates:
+        if len(gate.qubits) == 2:
+            a, b = gate.qubits
+            pair = open_pair.get(a)
+            if pair is None or pair != open_pair.get(b):
+                for q in gate.qubits:
+                    for other in open_pair.pop(q, ()):
+                        open_pair.pop(other, None)
+                for q in gate.qubits:
+                    open_pair[q] = gate.qubits
+        elif gate.is_virtual:
+            pair = open_pair.get(gate.qubits[0])
+            positions.append(None if pair is None else pair.index(gate.qubits[0]))
+    return positions
+
+
+def _with_zero_rotations(rng, circuit, zero_slot):
+    """`circuit` with RZ(0) inserted before about a third of its gates, on
+    one of that gate's qubits or a random one, and last on some qubits. Each
+    is a fixed angle of +0.0 or -0.0, or the slot `zero_slot`."""
+    out = Circuit(circuit.num_qubits)
+
+    def zero(q):
+        draw = rng.random()
+        if draw < 0.4:
+            out.rz(q, slot=zero_slot)
+        else:
+            out.rz(q, angle=0.0 if draw < 0.7 else -0.0)
+
+    for gate in circuit.gates:
+        if rng.random() < 0.35:
+            on_gate = rng.random() < 0.5
+            zero(int(rng.choice(gate.qubits) if on_gate else rng.integers(circuit.num_qubits)))
+        out.append(gate)
+    for q in range(circuit.num_qubits):
+        if rng.random() < 0.5:
+            zero(q)
+    out.num_params = circuit.num_params
+    return out
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+def test_rz_zero_leaves_the_noisy_state_bit_for_bit(two_qubit):
+    rng = np.random.default_rng([57, 0 if two_qubit is GateKind.CX else 1])
+    positions = set()
+    for num_qubits in (1, 2, 3, 5, 7):
+        for noise in _NOISES:
+            for make in (_random_physical_circuit, _few_pair_circuit):
+                if make is _few_pair_circuit and num_qubits < 2:
+                    continue
+                circuit = make(rng, num_qubits, 40, two_qubit, slots=3)
+                circuit.num_params = 4
+                theta = np.append(rng.uniform(-np.pi, np.pi, size=3), 0.0)
+                zeros = _with_zero_rotations(rng, circuit, zero_slot=3)
+                assert len(zeros.gates) > len(circuit.gates)
+                positions.update(p for g, p in zip(
+                    (g for g in zeros.gates if g.is_virtual), _open_block_positions(zeros.gates))
+                    if g.slot == 3 or g.angle == 0.0)
+                got = simulate_noisy(zeros, theta, noise).data
+                assert np.array_equal(got, simulate_noisy(circuit, theta, noise).data)
+    assert positions == {None, 0, 1}  # pending, and both positions of an open block

@@ -1,9 +1,15 @@
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import enqode
 import oracles
+from enqode.ansatz import AnsatzConfig, build
 from enqode.circuit import Circuit
 from enqode.symbolic import OverlapModel, init_plus_i
 
@@ -214,3 +220,45 @@ def test_overlap_model_rejects_unnormalized_target():
         OverlapModel(state, np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="normalized"):
         OverlapModel(state, np.array([1.0, np.nan, 0.0, 0.0]))
+
+
+def _gradients_and_complex_products():
+    """(loss_and_grad's gradient, the same gradient from the complex product
+    `weighted @ table`) on seeded ansatz models at n = 4..10."""
+    for num_qubits in range(4, 11):
+        for layers in (1, 2, 8):
+            state = build(AnsatzConfig(num_qubits, layers)).symbolic
+            rng = np.random.default_rng([num_qubits, layers, 607])
+            for _ in range(4):
+                target = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
+                model = OverlapModel(state, target / np.linalg.norm(target))
+                theta = rng.uniform(-np.pi, np.pi, size=state.num_params)
+                weighted = np.conj(model.target) * state.evaluate(theta)
+                overlap = weighted.sum()
+                expected = -2.0 * np.real(np.conj(overlap) * 0.5j * (weighted @ state.coeff_float))
+                yield model.loss_and_grad(theta)[1], expected
+
+
+def count_gradients_not_bit_for_bit() -> int:
+    return sum(not np.array_equal(got, expected)
+               for got, expected in _gradients_and_complex_products())
+
+
+def test_split_real_products_match_the_complex_product():
+    # The complex product's last bits depend on the BLAS thread count (two
+    # OpenBLAS threads split it differently at n = 9-10 with few layers), so
+    # in-process the two agree to rounding only.
+    for got, expected in _gradients_and_complex_products():
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+def test_split_real_products_are_bit_for_bit_on_one_blas_thread():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enqode.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, tests]))
+    script = "import test_symbolic as t; print(t.count_gradients_not_bit_for_bit())"
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
