@@ -8,7 +8,7 @@ simulators support the comparison.
 """
 
 from .ansatz import AnsatzConfig, AnsatzBundle, build
-from .baseline import BasisConfig, SynthesisOutput, compile_exact
+from .baseline import SynthesisOutput, compile_exact
 from .circuit import Circuit, Gate, GateCounts, GateKind, metrics
 from .dataio import Dataset, l2_normalize, load_csv, pca_reduce
 from .optimizer import ObjectiveError, OptimizeResult, OptimizerOptions, minimize
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnsatzBundle",
     "AnsatzConfig",
-    "BasisConfig",
     "Circuit",
     "ClusteringResult",
     "ClusterModel",

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import BasisConfig, lower_to_basis, route_linear
-from .circuit import Circuit
+from .baseline import lower_to_basis, route_linear
+from .circuit import Circuit, GateKind
 from .simulator import apply_unitary, rx_matrix, ry_matrix
 from .symbolic import PhaseLinearState, init_plus_i
 
@@ -85,12 +85,12 @@ def build(config: AnsatzConfig) -> AnsatzBundle:
     return AnsatzBundle(config, circuit, state, [factor.copy() for _ in range(n)])
 
 
-def ansatz_physical(config: AnsatzConfig, basis: BasisConfig = BasisConfig()) -> Circuit:
+def ansatz_physical(config: AnsatzConfig, two_qubit: GateKind = GateKind.CX) -> Circuit:
     """The fixed physical circuit shared by every sample: the logical
     circuit lowered, routed for the chain and lowered again. Chain-adjacent
     CY pairs mean routing inserts no SWAPs."""
-    routed = route_linear(lower_to_basis(build(config).logical_circuit, basis))
-    return lower_to_basis(routed.circuit, basis)
+    routed = route_linear(lower_to_basis(build(config).logical_circuit, two_qubit))
+    return lower_to_basis(routed.circuit, two_qubit)
 
 
 def invert_epilogue(bundle: AnsatzBundle, x: np.ndarray) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The reference method prepares a real unit vector exactly. A disentangling
 tree of uniformly controlled Ry rotations fixes one qubit per stage (high
-bit first); each multiplexor with m controls expands to 2^m CX plus 2^m Ry
-through the standard halving recursion, which is the Gray-code identity.
+bit first); each multiplexor with m controls expands to 2^m Ry plus
+2^(m+1) - 2 CX through the halving recursion, which closes each half at
+every level with a CX and cancels none of them. A dense n-qubit target thus
+gets 2^n - 1 Ry and 2^(n+1) - 2n - 2 CX (240 at n = 7); the Gray-code form
+of the same multiplexors would need 2^m CX each (126 at n = 7).
 Lowering rewrites every gate into {RZ, SX, X} plus one two-qubit kind with
 fixed rules and no merging or cancellation. Routing legalizes two-qubit
 gates onto a linear chain by inserting SWAP chains.
@@ -25,7 +28,6 @@ import numpy as np
 from .circuit import Circuit, Gate, GateCounts, GateKind, metrics
 
 __all__ = [
-    "BasisConfig",
     "RoutedCircuit",
     "SynthesisOutput",
     "synthesize_exact",
@@ -39,17 +41,6 @@ _HALF_PI = np.pi / 2
 
 
 @dataclass(frozen=True)
-class BasisConfig:
-    """Physical basis: {RZ virtual, SX, X} one-qubit set plus one two-qubit kind."""
-
-    two_qubit_kind: GateKind = GateKind.CX
-
-    def __post_init__(self) -> None:
-        if self.two_qubit_kind not in (GateKind.CX, GateKind.ECR):
-            raise ValueError(f"unsupported two-qubit basis kind {self.two_qubit_kind}")
-
-
-@dataclass(frozen=True)
 class RoutedCircuit:
     """Chain-legal circuit plus the final logical-to-physical position map."""
 
@@ -59,7 +50,6 @@ class RoutedCircuit:
 
 @dataclass
 class SynthesisOutput:
-    logical_circuit: Circuit
     physical_circuit: Circuit
     layout: tuple[int, ...]
     metrics: GateCounts
@@ -134,8 +124,8 @@ def _lower_rotation(out: Circuit, kind: GateKind, qubit: int, angle: float) -> N
     out.rz(qubit, angle=phi + np.pi)
 
 
-def _lower_cx(out: Circuit, control: int, target: int, basis: BasisConfig) -> None:
-    if basis.two_qubit_kind is GateKind.CX:
+def _lower_cx(out: Circuit, control: int, target: int, two_qubit: GateKind) -> None:
+    if two_qubit is GateKind.CX:
         out.cx(control, target)
         return
     # CX = ECR conjugated by fixed dressing, pinned by matrix check:
@@ -146,15 +136,17 @@ def _lower_cx(out: Circuit, control: int, target: int, basis: BasisConfig) -> No
     out.ecr(control, target)
 
 
-def lower_to_basis(circuit: Circuit, basis: BasisConfig = BasisConfig()) -> Circuit:
-    """Rewrite into {RZ, SX, X} + the configured two-qubit kind, rule by rule.
+def lower_to_basis(circuit: Circuit, two_qubit: GateKind = GateKind.CX) -> Circuit:
+    """Rewrite into {RZ, SX, X} + `two_qubit` (CX or ECR), rule by rule.
 
     No merging, no cancellation, no angle simplification: each input gate
     expands independently, mirroring an optimization-level-zero transpile.
     Gates already in the basis pass through as the same objects, so lowering
     is idempotent. Parameter slots survive only on RZ.
     """
-    legal = (GateKind.RZ, GateKind.SX, GateKind.X, basis.two_qubit_kind)
+    if two_qubit not in (GateKind.CX, GateKind.ECR):
+        raise ValueError(f"unsupported two-qubit basis kind {two_qubit}")
+    legal = (GateKind.RZ, GateKind.SX, GateKind.X, two_qubit)
     out = Circuit(circuit.num_qubits)
     for gate in circuit.gates:
         kind = gate.kind
@@ -165,19 +157,19 @@ def lower_to_basis(circuit: Circuit, basis: BasisConfig = BasisConfig()) -> Circ
                 raise ValueError(f"cannot lower parametric {kind.value}; bind the angle first")
             _lower_rotation(out, kind, gate.qubits[0], gate.angle)
         elif kind is GateKind.CX:
-            _lower_cx(out, gate.qubits[0], gate.qubits[1], basis)
+            _lower_cx(out, gate.qubits[0], gate.qubits[1], two_qubit)
         elif kind is GateKind.CY:
             control, target = gate.qubits
             out.rz(target, angle=-_HALF_PI)
-            _lower_cx(out, control, target, basis)
+            _lower_cx(out, control, target, two_qubit)
             out.rz(target, angle=_HALF_PI)
         elif kind is GateKind.SWAP:
             a, b = gate.qubits
-            _lower_cx(out, a, b, basis)
-            _lower_cx(out, b, a, basis)
-            _lower_cx(out, a, b, basis)
+            _lower_cx(out, a, b, two_qubit)
+            _lower_cx(out, b, a, two_qubit)
+            _lower_cx(out, a, b, two_qubit)
         else:
-            raise ValueError(f"no lowering rule for {kind.value} into {basis.two_qubit_kind.value}")
+            raise ValueError(f"no lowering rule for {kind.value} into {two_qubit.value}")
     out.num_params = circuit.num_params
     return out
 
@@ -226,16 +218,13 @@ def permute_state(state: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def compile_exact(x, basis: BasisConfig = BasisConfig()) -> SynthesisOutput:
+def compile_exact(x, two_qubit: GateKind = GateKind.CX) -> SynthesisOutput:
     """Full reference pipeline: synthesize, lower, route, lower inserted SWAPs."""
     start = time.perf_counter()
-    logical = synthesize_exact(x)
-    lowered = lower_to_basis(logical, basis)
-    routed = route_linear(lowered)
-    physical = lower_to_basis(routed.circuit, basis)
+    routed = route_linear(lower_to_basis(synthesize_exact(x), two_qubit))
+    physical = lower_to_basis(routed.circuit, two_qubit)
     elapsed = time.perf_counter() - start
     return SynthesisOutput(
-        logical_circuit=logical,
         physical_circuit=physical,
         layout=routed.layout,
         metrics=metrics(physical),

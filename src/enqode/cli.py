@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dataio
 from .ansatz import AnsatzConfig, ansatz_physical
-from .baseline import BasisConfig, compile_exact, permute_state
-from .circuit import Circuit, GateKind, metrics
+from .baseline import compile_exact, permute_state
+from .circuit import Circuit, GateCounts, GateKind, metrics
 from .optimizer import OptimizerOptions
 from .pipeline import (
     TrainedLibrary,
@@ -105,9 +105,6 @@ class RunConfig:
 
     def noise(self) -> NoiseModel:
         return NoiseModel(p1=self.noise_p1, p2=self.noise_p2)
-
-    def basis_config(self) -> BasisConfig:
-        return BasisConfig(two_qubit_kind=_BASIS_KINDS[self.basis])
 
     def echo(self) -> dict:
         return dataclasses.asdict(self)
@@ -190,42 +187,30 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _row(sample_id: int, method: str, counts: GateCounts, ideal: float, noisy: float,
+         seconds: float, cluster_id: int | None = None) -> SampleRow:
+    return SampleRow(
+        sample_id=sample_id, method=method, depth=counts.depth_physical,
+        one_qubit=counts.one_qubit_physical, two_qubit=counts.two_qubit_physical,
+        total_physical=counts.total_physical, ideal_fidelity=ideal,
+        noisy_fidelity=noisy, compile_seconds=seconds, cluster_id=cluster_id)
+
+
 def _compare_one(sample_id: int, x: np.ndarray, library: TrainedLibrary,
-                 config: RunConfig, physical: Circuit, counts,
+                 config: RunConfig, physical: Circuit, counts: GateCounts,
                  noise: NoiseModel) -> list[SampleRow]:
-    rows = []
     embed = embed_online(x, library, config.optimizer, sample_id=sample_id)
     noisy = fidelity_to_pure(simulate_noisy(physical, embed.theta, noise), x)
-    rows.append(SampleRow(
-        sample_id=sample_id,
-        method=METHOD_ANSATZ,
-        depth=counts.depth_physical,
-        one_qubit=counts.one_qubit_physical,
-        two_qubit=counts.two_qubit_physical,
-        total_physical=counts.total_physical,
-        ideal_fidelity=embed.ideal_fidelity,
-        noisy_fidelity=noisy,
-        compile_seconds=embed.compile_time,
-        cluster_id=embed.cluster_id,
-    ))
+    ansatz = _row(sample_id, METHOD_ANSATZ, counts, embed.ideal_fidelity, noisy,
+                  embed.compile_time, embed.cluster_id)
 
-    compiled = compile_exact(x, config.basis_config())
+    compiled = compile_exact(x, _BASIS_KINDS[config.basis])
     target = permute_state(x.astype(complex), compiled.layout)
     ideal = float(abs(np.vdot(target, simulate_ideal(compiled.physical_circuit))) ** 2)
     noisy = fidelity_to_pure(
         simulate_noisy(compiled.physical_circuit, None, noise), target)
-    rows.append(SampleRow(
-        sample_id=sample_id,
-        method=METHOD_BASELINE,
-        depth=compiled.metrics.depth_physical,
-        one_qubit=compiled.metrics.one_qubit_physical,
-        two_qubit=compiled.metrics.two_qubit_physical,
-        total_physical=compiled.metrics.total_physical,
-        ideal_fidelity=ideal,
-        noisy_fidelity=noisy,
-        compile_seconds=compiled.synth_time,
-    ))
-    return rows
+    return [ansatz, _row(sample_id, METHOD_BASELINE, compiled.metrics, ideal, noisy,
+                         compiled.synth_time)]
 
 
 def cmd_compare(config: RunConfig) -> int:
@@ -236,9 +221,8 @@ def cmd_compare(config: RunConfig) -> int:
             f"dataset has {data.dims} dims but the library was trained at "
             f"{library.config.num_qubits} qubits")
 
-    basis = config.basis_config()
     noise = config.noise()
-    physical = ansatz_physical(library.config, basis)
+    physical = ansatz_physical(library.config, _BASIS_KINDS[config.basis])
     counts = metrics(physical)
 
     rows: list[SampleRow] = []

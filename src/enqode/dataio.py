@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .pipeline import require_keys, require_types
+
 __all__ = [
     "Dataset",
     "load_csv",
@@ -177,15 +179,20 @@ def save_dataset(data: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     """Load a CSV written by save_dataset, using the sidecar to restore the
-    label flag and provenance when present."""
+    label flag and provenance when present. The sidecar must hold a boolean
+    `has_labels` and a list of strings `provenance`."""
     has_labels = False
     provenance: tuple[str, ...] | None = None
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
         with open(sidecar, encoding="utf-8") as fh:
             doc = json.load(fh)
-        has_labels = bool(doc.get("has_labels", False))
-        provenance = tuple(doc.get("provenance", ()))
+        require_keys(doc, ("has_labels", "provenance"), sidecar)
+        require_types(doc, {"has_labels": (bool,), "provenance": (list,)}, sidecar)
+        steps = {f"provenance[{i}]": step for i, step in enumerate(doc["provenance"])}
+        require_types(steps, dict.fromkeys(steps, (str,)), sidecar)
+        has_labels = doc["has_labels"]
+        provenance = tuple(doc["provenance"])
     data = load_csv(path, has_label_column=has_labels)
     if provenance is not None:
         data = replace(data, provenance=provenance)

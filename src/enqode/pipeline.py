@@ -281,7 +281,7 @@ def require_keys(doc, keys: tuple[str, ...], what: str) -> None:
 
 
 _JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string", type(None): "null"}
+               str: "a string", list: "a list", type(None): "null"}
 
 
 def require_types(doc: dict, types: dict, what: str) -> None:

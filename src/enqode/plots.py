@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 
+from .report import METHOD_ANSATZ, METHOD_BASELINE
+
 __all__ = ["render_report_svgs"]
 
 _WIDTH = 640
@@ -73,17 +75,32 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _y_axis(canvas: _Canvas, vmax: float, y_label: str):
-    """Linear axis from 0 to vmax; returns value -> pixel mapper."""
-    vmax = vmax if vmax > 0 else 1.0
+def _frame(canvas: _Canvas, y_label: str, vmax: float = 0.0,
+           decades: tuple[int, int] | None = None):
+    """Linear y axis from 0 to vmax, or with decades=(lo, hi) a log axis
+    from 1e{lo} to 1e{hi}: gridlines, tick labels, both axes and the y
+    label. Returns the value -> pixel mapper."""
+    if decades is None:
+        vmax = vmax if vmax > 0 else 1.0
+        ticks = [(t, _fmt(t)) for t in np.linspace(0.0, vmax, 5)]
+
+        def frac(v: float) -> float:
+            return v / vmax
+    else:
+        lo_d, hi_d = decades
+        ticks = [(10.0 ** d, f"1e{d}") for d in range(lo_d, hi_d + 1)]
+        y_label += " (log)"
+
+        def frac(v: float) -> float:
+            return (math.log10(v) - lo_d) / (hi_d - lo_d)
 
     def to_y(v: float) -> float:
-        return _MARGIN_TOP + _PLOT_H * (1.0 - v / vmax)
+        return _MARGIN_TOP + _PLOT_H * (1.0 - frac(v))
 
-    for tick in np.linspace(0.0, vmax, 5):
-        y = to_y(tick)
+    for value, label in ticks:
+        y = to_y(value)
         canvas.line(_MARGIN_LEFT, y, _WIDTH - _MARGIN_RIGHT, y, color="#ddd")
-        canvas.text(_MARGIN_LEFT - 6, y + 4, _fmt(tick), size=10, anchor="end")
+        canvas.text(_MARGIN_LEFT - 6, y + 4, label, size=10, anchor="end")
     canvas.line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, _MARGIN_TOP + _PLOT_H)
     canvas.line(_MARGIN_LEFT, _MARGIN_TOP + _PLOT_H,
                 _WIDTH - _MARGIN_RIGHT, _MARGIN_TOP + _PLOT_H)
@@ -108,7 +125,7 @@ def _grouped_bars(title: str, y_label: str, groups: list[str],
     canvas = _Canvas(title)
     vmax = max(m + s for _, means, stds in series
                for m, s in zip(means, stds)) * 1.18
-    to_y = _y_axis(canvas, vmax, y_label)
+    to_y = _frame(canvas, y_label, vmax=vmax)
     y0 = to_y(0.0)
 
     slot = _PLOT_W / len(groups)
@@ -138,32 +155,11 @@ def _box_chart(title: str, y_label: str,
     canvas = _Canvas(title)
     lo = min(float(v.min()) for _, v in series)
     hi = max(float(v.max()) for _, v in series)
-    use_log = lo > 0 and hi / lo > 100.0
-
-    if use_log:
-        lo_d = math.floor(math.log10(lo))
-        hi_d = math.ceil(math.log10(hi))
-        if hi_d == lo_d:
-            hi_d += 1
-
-        def to_y(v: float) -> float:
-            frac = (math.log10(v) - lo_d) / (hi_d - lo_d)
-            return _MARGIN_TOP + _PLOT_H * (1.0 - frac)
-
-        for d in range(lo_d, hi_d + 1):
-            y = to_y(10.0 ** d)
-            canvas.line(_MARGIN_LEFT, y, _WIDTH - _MARGIN_RIGHT, y, color="#ddd")
-            canvas.text(_MARGIN_LEFT - 6, y + 4, f"1e{d}", size=10, anchor="end")
-        canvas.line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, _MARGIN_TOP + _PLOT_H)
-        canvas.line(_MARGIN_LEFT, _MARGIN_TOP + _PLOT_H,
-                    _WIDTH - _MARGIN_RIGHT, _MARGIN_TOP + _PLOT_H)
-        canvas.parts.append(
-            f'<text x="16" y="{_MARGIN_TOP + _PLOT_H / 2:.1f}" font-size="11" '
-            f'text-anchor="middle" transform="rotate(-90 16 '
-            f'{_MARGIN_TOP + _PLOT_H / 2:.1f})">{_esc(y_label + " (log)")}</text>'
-        )
+    if lo > 0 and hi / lo > 100.0:  # at least two decades apart
+        decades = (math.floor(math.log10(lo)), math.ceil(math.log10(hi)))
+        to_y = _frame(canvas, y_label, decades=decades)
     else:
-        to_y = _y_axis(canvas, hi * 1.15, y_label)
+        to_y = _frame(canvas, y_label, vmax=hi * 1.15)
 
     slot = _PLOT_W / len(series)
     box_w = slot * 0.38
@@ -187,7 +183,7 @@ def _box_chart(title: str, y_label: str,
 def render_report_svgs(report: dict, out_dir) -> list[str]:
     """Write the four comparison figures beneath out_dir; returns the paths."""
     agg = report["aggregate"]
-    methods = [m for m in ("enqode", "baseline") if m in agg]
+    methods = [m for m in (METHOD_ANSATZ, METHOD_BASELINE) if m in agg]
     if not methods:
         raise ValueError("report has no compared samples to plot")
     os.makedirs(out_dir, exist_ok=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -47,19 +47,6 @@ REFERENCE_RATIOS = {
 METHOD_ANSATZ = "enqode"
 METHOD_BASELINE = "baseline"
 
-_CSV_COLUMNS = [
-    "sample_id",
-    "method",
-    "depth",
-    "one_qubit",
-    "two_qubit",
-    "total_physical",
-    "ideal_fidelity",
-    "noisy_fidelity",
-    "compile_seconds",
-    "cluster_id",
-]
-
 
 @dataclass(frozen=True)
 class SampleRow:
@@ -79,36 +66,21 @@ class SampleRow:
             raise ValueError(f"unknown method {self.method!r}")
 
     def to_dict(self) -> dict:
-        d = {
-            "sample_id": self.sample_id,
-            "method": self.method,
-            "depth": self.depth,
-            "one_qubit": self.one_qubit,
-            "two_qubit": self.two_qubit,
-            "total_physical": self.total_physical,
-            "ideal_fidelity": self.ideal_fidelity,
-            "noisy_fidelity": self.noisy_fidelity,
-            "compile_seconds": self.compile_seconds,
-        }
-        if self.cluster_id is not None:
-            d["cluster_id"] = self.cluster_id
+        d = {name: getattr(self, name) for name in _COLUMNS}
+        if self.cluster_id is None:
+            del d["cluster_id"]
         return d
 
 
-_STAT_FIELDS = [
-    "depth",
-    "one_qubit",
-    "two_qubit",
-    "total_physical",
-    "ideal_fidelity",
-    "noisy_fidelity",
-    "compile_seconds",
-]
+# The row schema, in field order: the CSV header and the JSON row keys.
+_COLUMNS = tuple(f.name for f in fields(SampleRow))
+# Every column but the identifying ones is a measure averaged per method.
+_STAT_COLUMNS = tuple(c for c in _COLUMNS if c not in ("sample_id", "method", "cluster_id"))
 
 
 def _method_stats(rows: list[SampleRow]) -> dict:
     stats: dict = {"count": len(rows)}
-    for name in _STAT_FIELDS:
+    for name in _STAT_COLUMNS:
         values = np.array([getattr(r, name) for r in rows], dtype=float)
         stats[f"{name}_mean"] = float(values.mean())
         stats[f"{name}_std"] = float(values.std())
@@ -175,9 +147,9 @@ def write_report_csv(report: dict, path) -> None:
     """Flat per-sample table; every figure in the report is derivable from it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(_COLUMNS)
         for row in report["samples"]:
-            writer.writerow([row.get(col, "") for col in _CSV_COLUMNS])
+            writer.writerow([row.get(col, "") for col in _COLUMNS])
 
 
 def strip_volatile(doc):

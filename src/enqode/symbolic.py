@@ -100,14 +100,6 @@ class PhaseLinearState:
         scale = 2.0 ** (-self.num_qubits / 2.0)
         return scale * _I_POWERS[self.root_exp] * np.exp(1j * half_phase)
 
-    def validate(self) -> None:
-        if self.root_exp.shape != (self.dim,) or self.coeff.shape[0] != self.dim:
-            raise AssertionError("table shape mismatch")
-        if not np.all((self.root_exp >= 0) & (self.root_exp < 4)):
-            raise AssertionError("root exponent escaped {0,1,2,3}")
-        if not np.all(np.isin(self.coeff, (-1, 0, 1))):
-            raise AssertionError("coefficient escaped {-1, 0, +1}")
-
 
 def init_plus_i(num_qubits: int) -> PhaseLinearState:
     """State ((|0> + i|1>)/sqrt(2))^(x)n: i-exponent is the index popcount."""

@@ -14,8 +14,8 @@ import pytest
 import datasets
 import oracles
 from enqode.ansatz import AnsatzConfig, ansatz_physical, build, invert_epilogue
-from enqode.baseline import BasisConfig, compile_exact, permute_state
-from enqode.circuit import Circuit, metrics
+from enqode.baseline import compile_exact, permute_state
+from enqode.circuit import Circuit, GateKind, metrics
 from enqode.cli import main as cli_main
 from enqode.optimizer import OptimizerOptions, minimize
 from enqode.pipeline import cluster, embed_online, train_offline
@@ -25,7 +25,7 @@ from enqode.symbolic import OverlapModel, init_plus_i
 
 OPTS = OptimizerOptions()
 NOISE = NoiseModel(p1=2e-4, p2=7e-3)
-BASIS = BasisConfig()
+BASIS = GateKind.CX
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

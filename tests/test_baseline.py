@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from enqode.baseline import (
-    BasisConfig,
     compile_exact,
     lower_to_basis,
     permute_state,
@@ -75,6 +74,19 @@ def test_synthesize_three_qubits_vs_oracle():
         assert oracles.states_match(state, x, 1e-10)
 
 
+def test_synthesize_dense_gate_counts_follow_the_halving_recursion():
+    # an m-control multiplexor takes 2^(m+1) - 2 CX and 2^m RY
+    rng = np.random.default_rng(13)
+    cx_counts = []
+    for n in range(1, 8):
+        kinds = [g.kind for g in synthesize_exact(_random_unit(rng, 1 << n)).gates]
+        assert kinds.count(GateKind.CX) == sum(2 ** (m + 1) - 2 for m in range(n))
+        assert kinds.count(GateKind.RY) == 2**n - 1
+        assert len(kinds) == kinds.count(GateKind.CX) + kinds.count(GateKind.RY)
+        cx_counts.append(kinds.count(GateKind.CX))
+    assert cx_counts == [0, 2, 8, 22, 52, 114, 240]
+
+
 def test_synthesize_rejects_bad_targets():
     with pytest.raises(ValueError):
         synthesize_exact(np.array([1.0, 0.0, 0.0]))  # not a power of two
@@ -128,9 +140,8 @@ def test_lower_swap_is_three_cx():
 
 
 def test_lower_cx_into_ecr_basis():
-    basis = BasisConfig(two_qubit_kind=GateKind.ECR)
     for control, target in ((0, 1), (1, 0)):
-        lowered = lower_to_basis(Circuit(2).cx(control, target), basis)
+        lowered = lower_to_basis(Circuit(2).cx(control, target), GateKind.ECR)
         assert [g.kind for g in lowered.gates] == [
             GateKind.RZ,
             GateKind.X,
@@ -153,6 +164,11 @@ def test_lower_rejects_ecr_into_cx_basis():
         lower_to_basis(Circuit(2).ecr(0, 1))
 
 
+def test_lower_rejects_a_two_qubit_basis_other_than_cx_or_ecr():
+    with pytest.raises(ValueError, match="unsupported two-qubit basis"):
+        lower_to_basis(Circuit(2).cx(0, 1), GateKind.SWAP)
+
+
 def test_lower_random_circuit_preserves_unitary():
     rng = np.random.default_rng(23)
     for trial in range(10):
@@ -172,7 +188,7 @@ def test_lower_random_circuit_preserves_unitary():
                     circuit.cx(int(a), int(b))
                 else:
                     circuit.cy(int(a), int(b))
-        basis = BasisConfig() if trial % 2 == 0 else BasisConfig(two_qubit_kind=GateKind.ECR)
+        basis = GateKind.CX if trial % 2 == 0 else GateKind.ECR
         lowered = lower_to_basis(circuit, basis)
         _unitaries_match(
             oracles.circuit_unitary(lowered, None),
@@ -203,16 +219,15 @@ def _random_logical_circuit(rng, num_qubits, length):
 
 @pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
 def test_lower_is_idempotent_on_lowered_circuits(two_qubit):
-    basis = BasisConfig(two_qubit_kind=two_qubit)
     rng = np.random.default_rng([25, 0 if two_qubit is GateKind.CX else 1])
     for num_qubits in (2, 3, 5):
-        lowered = lower_to_basis(_random_logical_circuit(rng, num_qubits, 40), basis)
-        again = lower_to_basis(lowered, basis)
+        lowered = lower_to_basis(_random_logical_circuit(rng, num_qubits, 40), two_qubit)
+        again = lower_to_basis(lowered, two_qubit)
         assert again.gates == lowered.gates
         assert again.num_params == lowered.num_params
     for num_qubits in range(2, 7):
-        physical = compile_exact(_random_unit(rng, 1 << num_qubits), basis).physical_circuit
-        assert lower_to_basis(physical, basis).gates == physical.gates
+        physical = compile_exact(_random_unit(rng, 1 << num_qubits), two_qubit).physical_circuit
+        assert lower_to_basis(physical, two_qubit).gates == physical.gates
 
 
 # -- routing -----------------------------------------------------------------
@@ -289,9 +304,9 @@ def test_compile_exact_fidelity(seed, num_qubits):
 def test_compile_exact_physical_circuit_is_basis_legal():
     rng = np.random.default_rng(41)
     x = _random_unit(rng, 16)
-    for basis in (BasisConfig(), BasisConfig(two_qubit_kind=GateKind.ECR)):
+    for basis in (GateKind.CX, GateKind.ECR):
         result = compile_exact(x, basis)
-        allowed = {GateKind.RZ, GateKind.SX, GateKind.X, basis.two_qubit_kind}
+        allowed = {GateKind.RZ, GateKind.SX, GateKind.X, basis}
         assert {g.kind for g in result.physical_circuit.gates} <= allowed
         for gate in result.physical_circuit.gates:
             if len(gate.qubits) == 2:

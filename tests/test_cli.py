@@ -176,6 +176,32 @@ def test_config_accepts_integer_floats_and_null_optionals(tmp_path, capsys):
 # -- train -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("sidecar, message", [
+    ([], "must be a JSON object"),
+    ({"provenance": []}, "is missing key 'has_labels'"),
+    ({"has_labels": "false", "provenance": []},
+     'has_labels must be true or false, got "false"'),
+    ({"has_labels": False, "provenance": 5}, "provenance must be a list, got 5"),
+    ({"has_labels": False, "provenance": ["loaded raw.csv", 5]},
+     "provenance[1] must be a string, got 5"),
+], ids=["array", "missing_has_labels", "string_has_labels", "int_provenance",
+        "int_provenance_step"])
+def test_train_rejects_malformed_dataset_sidecar(tmp_path, capsys, sidecar, message):
+    raw = _blob_csv(tmp_path)
+    out = tmp_path / "run"
+    args = ["--qubits", "2", "--layers", "2", "--out", str(out)]
+    assert run_cli(["prepare", raw, *args], capsys)[0] == EXIT_OK
+    path = out / "prepared.csv.provenance.json"
+    path.write_text(json.dumps(sidecar))
+    code, stdout, stderr = run_cli(["train", *args], capsys)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr == f"error: {path} {message}\n"
+    assert "Traceback" not in stderr
+    assert not (out / "library.json").exists()
+
+
+
 def test_train_three_blobs_finds_three_clusters(tmp_path, capsys):
     # the blob separation only forces three clusters from four qubits up
     raw = _blob_csv(tmp_path, num_qubits=4)

@@ -57,6 +57,21 @@ def test_sample_row_dict_omits_missing_cluster():
     assert _row(0, "enqode").to_dict()["cluster_id"] == 0
 
 
+_ROW_KEYS = ["sample_id", "method", "depth", "one_qubit", "two_qubit", "total_physical",
+             "ideal_fidelity", "noisy_fidelity", "compile_seconds", "cluster_id"]
+
+
+def test_report_row_keys_and_stat_keys_keep_their_order():
+    report = build_report(_paired_rows(1))
+    baseline, ansatz = report["samples"]
+    assert list(ansatz) == _ROW_KEYS
+    assert list(baseline) == _ROW_KEYS[:-1]
+    stats = ["count"] + [f"{name}_{what}" for name in _ROW_KEYS[2:-1]
+                         for what in ("mean", "std")]
+    assert list(report["aggregate"]["enqode"]) == stats
+    assert list(report["aggregate"]["baseline"]) == stats
+
+
 # -- build_report ------------------------------------------------------------
 
 
@@ -140,6 +155,7 @@ def test_report_csv_is_flat_and_complete(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
+    assert path.read_text().splitlines()[0] == ",".join(_ROW_KEYS)
     assert rows[0]["method"] == "baseline"
     assert rows[0]["cluster_id"] == ""  # baseline rows carry no cluster
     assert rows[1]["cluster_id"] == "0"

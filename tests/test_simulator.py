@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from enqode import simulator
 from enqode.ansatz import AnsatzConfig, build
-from enqode.baseline import BasisConfig, compile_exact
+from enqode.baseline import compile_exact
 from enqode.circuit import Circuit, Gate, GateKind
 from enqode.simulator import (
     DensityMatrix,
@@ -262,7 +262,7 @@ def test_noisy_matches_reference_on_compiled_baselines(two_qubit):
     for num_qubits in (2, 4, 5):
         x = rng.normal(size=1 << num_qubits)
         x /= np.linalg.norm(x)
-        circuit = compile_exact(x, BasisConfig(two_qubit_kind=two_qubit)).physical_circuit
+        circuit = compile_exact(x, two_qubit).physical_circuit
         assert _max_diff_to_reference(circuit, NoiseModel()) <= 1e-12
 
 
@@ -329,7 +329,7 @@ def test_noisy_matches_reference_on_repeated_pairs(num_qubits, two_qubit):
 def test_noisy_fuses_gates_on_one_pair_into_fewer_passes(monkeypatch):
     rng = np.random.default_rng(49)
     x = rng.normal(size=32)
-    circuit = compile_exact(x / np.linalg.norm(x), BasisConfig()).physical_circuit
+    circuit = compile_exact(x / np.linalg.norm(x), GateKind.CX).physical_circuit
     passes = []
     real = simulator._apply
 
@@ -475,7 +475,7 @@ def test_noisy_matches_reference_on_wide_registers(num_qubits, two_qubit):
 def test_every_noisy_pass_is_real_arithmetic(monkeypatch):
     rng = np.random.default_rng(56)
     x = rng.normal(size=32)
-    baseline = compile_exact(x / np.linalg.norm(x), BasisConfig()).physical_circuit
+    baseline = compile_exact(x / np.linalg.norm(x), GateKind.CX).physical_circuit
     with_slots = _random_physical_circuit(rng, 4, 30, GateKind.ECR, slots=3)
     dtypes = []
     real = simulator._apply

@@ -112,12 +112,19 @@ def _random_table_circuit(rng, num_qubits, length):
     return state, circuit
 
 
+def _assert_table_invariants(state):
+    """Shapes agree, i-exponents stay in {0..3} and coefficients in {-1, 0, +1}."""
+    assert state.root_exp.shape == (state.dim,) and state.coeff.shape[0] == state.dim
+    assert np.all((state.root_exp >= 0) & (state.root_exp < 4))
+    assert np.all(np.isin(state.coeff, (-1, 0, 1)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 40), st.integers(0, 2**32 - 1))
 def test_random_sequences_match_dense_oracle(num_qubits, length, seed):
     rng = np.random.default_rng(seed)
     state, circuit = _random_table_circuit(rng, num_qubits, length)
-    state.validate()
+    _assert_table_invariants(state)
     theta = rng.uniform(-np.pi, np.pi, size=state.num_params)
     expected = oracles.circuit_unitary(circuit, theta) @ oracles.plus_i_state(num_qubits)
     got = state.evaluate(theta)
