@@ -17,6 +17,7 @@ epilogue-inverted target t = E^dagger x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,11 +86,17 @@ def build(config: AnsatzConfig) -> AnsatzBundle:
     return AnsatzBundle(config, circuit, state, [factor.copy() for _ in range(n)])
 
 
+@lru_cache(maxsize=8)
+def cached_build(config: AnsatzConfig) -> AnsatzBundle:
+    """`build`, once per config; every caller shares the bundle and leaves it as it is."""
+    return build(config)
+
+
 def ansatz_physical(config: AnsatzConfig, two_qubit: GateKind = GateKind.CX) -> Circuit:
     """The fixed physical circuit shared by every sample: the logical
     circuit lowered, routed for the chain and lowered again. Chain-adjacent
     CY pairs mean routing inserts no SWAPs."""
-    routed = route_linear(lower_to_basis(build(config).logical_circuit, two_qubit))
+    routed = route_linear(lower_to_basis(cached_build(config).logical_circuit, two_qubit))
     return lower_to_basis(routed.circuit, two_qubit)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateCounts, GateKind, metrics
+from .circuit import ROTATION_KINDS, Circuit, Gate, GateCounts, GateKind, fixed_gate, metrics
 
 __all__ = [
     "RoutedCircuit",
@@ -105,7 +105,7 @@ def _multiplexed_ry(target: int, controls: list[int], angles: np.ndarray) -> lis
     second = _multiplexed_ry(target, controls[:-1], 0.5 * (low - high))
     if not first and not second:
         return []
-    cx = Gate(GateKind.CX, (controls[-1], target))
+    cx = fixed_gate(GateKind.CX, (controls[-1], target))
     return [*first, cx, *second, cx]
 
 
@@ -196,8 +196,10 @@ def route_linear(circuit: Circuit) -> RoutedCircuit:
                 out.swap(here, there)
                 position[a], position[neighbor] = there, here
         wires = tuple(position[q] for q in gate.qubits)
-        out.append(gate if wires == gate.qubits else
-                   Gate(gate.kind, wires, angle=gate.angle, slot=gate.slot))
+        if wires != gate.qubits:
+            gate = (Gate(gate.kind, wires, angle=gate.angle, slot=gate.slot)
+                    if gate.kind in ROTATION_KINDS else fixed_gate(gate.kind, wires))
+        out.append(gate)
     out.num_params = circuit.num_params
     return RoutedCircuit(circuit=out, layout=tuple(position))
 

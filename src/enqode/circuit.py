@@ -4,6 +4,8 @@ The IR is a flat list of gates in execution order over a fixed qubit count.
 Rotation gates (RZ, RX, RY) carry either a concrete angle or a parameter
 slot index; all other kinds carry neither. Parameter slots are global
 integer indices so a bound circuit is just the IR plus a theta vector.
+Gates are frozen, so the angle-free ones are shared: the Circuit helpers
+return one Gate per (kind, qubits).
 
 Metrics treat RZ as virtual (a software frame change): RZ contributes to
 neither the physical gate counts nor the depth. Depth is the critical-path
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 
 class GateKind(str, Enum):
@@ -58,6 +61,13 @@ class Gate:
         return self.kind is GateKind.RZ
 
 
+@lru_cache(maxsize=4096)
+def fixed_gate(kind: GateKind, qubits: tuple[int, ...]) -> Gate:
+    """The one shared Gate of an angle-free kind on these qubits. A Gate is
+    frozen, so circuits can share it; it is validated when first built."""
+    return Gate(kind, qubits)
+
+
 @dataclass
 class GateCounts:
     one_qubit_physical: int
@@ -98,22 +108,22 @@ class Circuit:
         return self.append(Gate(GateKind.RY, (qubit,), angle=angle))
 
     def sx(self, qubit: int) -> "Circuit":
-        return self.append(Gate(GateKind.SX, (qubit,)))
+        return self.append(fixed_gate(GateKind.SX, (qubit,)))
 
     def x(self, qubit: int) -> "Circuit":
-        return self.append(Gate(GateKind.X, (qubit,)))
+        return self.append(fixed_gate(GateKind.X, (qubit,)))
 
     def cx(self, control: int, target: int) -> "Circuit":
-        return self.append(Gate(GateKind.CX, (control, target)))
+        return self.append(fixed_gate(GateKind.CX, (control, target)))
 
     def cy(self, control: int, target: int) -> "Circuit":
-        return self.append(Gate(GateKind.CY, (control, target)))
+        return self.append(fixed_gate(GateKind.CY, (control, target)))
 
     def swap(self, a: int, b: int) -> "Circuit":
-        return self.append(Gate(GateKind.SWAP, (a, b)))
+        return self.append(fixed_gate(GateKind.SWAP, (a, b)))
 
     def ecr(self, a: int, b: int) -> "Circuit":
-        return self.append(Gate(GateKind.ECR, (a, b)))
+        return self.append(fixed_gate(GateKind.ECR, (a, b)))
 
 
 def metrics(circuit: Circuit) -> GateCounts:

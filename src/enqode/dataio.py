@@ -180,23 +180,24 @@ def save_dataset(data: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Load a CSV written by save_dataset, using the sidecar to restore the
     label flag and provenance when present. The sidecar must hold a boolean
-    `has_labels` and a list of strings `provenance`."""
-    has_labels = False
-    provenance: tuple[str, ...] | None = None
+    `has_labels`, a list of strings `provenance`, and integers `rows` and
+    `dims` that match the CSV."""
     sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        with open(sidecar, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        require_keys(doc, ("has_labels", "provenance"), sidecar)
-        require_types(doc, {"has_labels": (bool,), "provenance": (list,)}, sidecar)
-        steps = {f"provenance[{i}]": step for i, step in enumerate(doc["provenance"])}
-        require_types(steps, dict.fromkeys(steps, (str,)), sidecar)
-        has_labels = doc["has_labels"]
-        provenance = tuple(doc["provenance"])
-    data = load_csv(path, has_label_column=has_labels)
-    if provenance is not None:
-        data = replace(data, provenance=provenance)
-    return data
+    if not os.path.exists(sidecar):
+        return load_csv(path)
+    with open(sidecar, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    require_keys(doc, ("has_labels", "provenance"), sidecar)
+    require_types(doc, {"has_labels": (bool,), "provenance": (list,)}, sidecar)
+    steps = {f"provenance[{i}]": step for i, step in enumerate(doc["provenance"])}
+    require_types(steps, dict.fromkeys(steps, (str,)), sidecar)
+    require_keys(doc, ("rows", "dims"), sidecar)
+    require_types(doc, {"rows": (int,), "dims": (int,)}, sidecar)
+    data = load_csv(path, has_label_column=doc["has_labels"])
+    for key, found in (("rows", data.rows), ("dims", data.dims)):
+        if doc[key] != found:
+            raise ValueError(f"{sidecar} {key} is {doc[key]} but {path} has {found}")
+    return replace(data, provenance=tuple(doc["provenance"]))
 
 
 def _sidecar_path(path) -> str:

@@ -13,11 +13,10 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import AnsatzBundle, AnsatzConfig, build, invert_epilogue
+from .ansatz import AnsatzConfig, cached_build, invert_epilogue
 from .optimizer import ObjectiveError, OptimizerOptions, minimize
 from .symbolic import OverlapModel
 
@@ -73,9 +72,9 @@ class EmbeddingResult:
     compile_time: float
 
 
-@lru_cache(maxsize=8)
-def _bundle_for(config: AnsatzConfig) -> AnsatzBundle:
-    return build(config)
+# One cache of built ansatze, shared with `ansatz_physical`, so `compare`
+# builds each config once; `_bundle_for.cache_clear()` empties it.
+_bundle_for = cached_build
 
 
 def _check_unit_rows(data: np.ndarray) -> None:

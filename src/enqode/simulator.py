@@ -2,14 +2,17 @@
 
 Both simulators share one kernel, `_apply`: the state is viewed as a tensor
 of 2s, the axes a gate touches are moved to the front by a cached
-permutation, one matrix product applies the operator, and the inverse
-permutation restores the axis order. The inverse is returned as a
-transposed view, never copied, so each pass copies the state once, in the
-forward transpose that lines its axes up for the product; a simulator
-flattens its state once, at the end. Qubit q is bit q
-of the basis index, so it is tensor axis n-1-q of a statevector.
+permutation, and one matrix product applies the operator. The result stays
+in memory in the order the product left it (the gate's axes first, the
+other axes in their previous memory order) and is returned as a transposed
+view in the logical axis order. The next pass reads that memory order from
+the view's strides and again moves only its own axes, so each pass makes
+one copy, of long contiguous runs; a simulator flattens its state once, at
+the end, which puts the axes back in order. Qubit q is bit q of the basis
+index, so it is tensor axis n-1-q of a statevector.
 
-The statevector simulator applies each gate unitary at rank n. The noisy
+The statevector simulator applies X and CX as a cached index gather (they
+permute basis states) and every other gate unitary at rank n. The noisy
 simulator never holds rho itself while it runs. It evolves the Pauli
 coordinates c_P = tr(P rho), one per Pauli string P, so that
 rho = sum_P c_P P / 2^n. Qubit q is base-4 digit q of the coordinate index
@@ -124,35 +127,46 @@ def gate_matrix(gate: Gate, theta: np.ndarray | None = None) -> np.ndarray:
     return _FIXED[gate.kind]
 
 
-@lru_cache(maxsize=1024)
-def _permutation(axes: tuple[int, ...], rank: int) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """Axis order putting `axes` first (the rest keep their order), its
-    inverse, and whether `axes` are the trailing axes in order."""
-    forward = axes + tuple(a for a in range(rank) if a not in axes)
-    inverse = tuple(int(i) for i in np.argsort(forward))
-    return forward, inverse, len(axes) < rank and axes == tuple(range(rank - len(axes), rank))
+@lru_cache(maxsize=4096)
+def _permutation(axes: tuple[int, ...], strides: tuple[int, ...]):
+    """How `_apply` moves `axes` of a tensor with these strides.
+
+    Returns the axis order of the operand copy, whether the operand is read
+    as its transpose, and the inverse of the result's axis order (`axes`
+    first, then the others in the order they had in memory)."""
+    rank = len(strides)
+    memory = sorted(range(rank), key=lambda a: -strides[a])
+    rest = tuple(a for a in memory if a not in axes)
+    trailing = len(axes) < rank and axes == tuple(range(rank - len(axes), rank))
+    result = axes + rest
+    inverse = tuple(int(i) for i in np.argsort(result))
+    return (rest + axes if trailing else result), trailing, inverse
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...], rank: int) -> np.ndarray:
     """op applied to `axes` of `tensor` viewed as a rank-`rank` tensor of 2s.
 
-    axes[0] is the most significant bit of op's index. Returns a `(2,)*rank`
-    view of a new array, transposed back to the axis order of `tensor` and
-    so in general not contiguous. The operand of the product is the one copy
-    per pass, and a caller flattens the final tensor once with `reshape(-1)`.
+    axes[0] is the most significant bit of op's index. `tensor` may be a
+    transposed view of a contiguous array, as this returns: a `(2,)*rank`
+    view of a new contiguous array that holds `axes` first and the other
+    axes in the order they had in memory. The operand of the product is the
+    one copy per pass; since it moves only `axes` and keeps the rest in
+    memory order, it copies long runs. A caller flattens the final tensor
+    once with `reshape(-1)`, which puts the axes back in order.
 
-    The operand is laid out as the moved axes of a contiguous state would
-    be: row-major, or, for the trailing axes, the state itself read as its
-    transpose. BLAS may round a small product differently for the two
+    For the canonical trailing axes the operand is read as its transpose,
+    as the trailing axes of a contiguous state would be; otherwise it is
+    row-major. BLAS may round a small product differently for the two
     layouts (OpenBLAS does for 16x16 by 16x4), so the layout is fixed by
-    `axes` alone, whatever the layout of `tensor`.
+    `axes` alone, whatever the memory order of `tensor`. The memory order
+    of the other axes only permutes the operand's columns, and each column
+    of the product is rounded the same way wherever it sits (pinned by
+    `test_a_pass_gives_the_same_bits_in_every_memory_order`).
     """
-    forward, inverse, trailing = _permutation(axes, rank)
     tensor = tensor.reshape((2,) * rank)
-    if trailing:
-        moved = np.ascontiguousarray(tensor).reshape(-1, op.shape[1]).T
-    else:
-        moved = np.ascontiguousarray(tensor.transpose(forward)).reshape(op.shape[1], -1)
+    order, trailing, inverse = _permutation(axes, tensor.strides)
+    moved = np.ascontiguousarray(tensor.transpose(order))
+    moved = moved.reshape(-1, op.shape[1]).T if trailing else moved.reshape(op.shape[1], -1)
     return (op @ moved).reshape((2,) * rank).transpose(inverse)
 
 
@@ -161,8 +175,28 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n: 
     return _apply(state, u, tuple(n - 1 - q for q in qubits), n).reshape(-1)
 
 
+_GATHERED = frozenset({GateKind.X, GateKind.CX})
+
+
+@lru_cache(maxsize=1024)
+def _gather_index(kind: GateKind, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """The basis permutation of X or CX: the state after the gate is state[index]."""
+    index = np.arange(1 << n)
+    if kind is GateKind.X:
+        index ^= 1 << qubits[0]
+    else:
+        control, target = qubits
+        index ^= ((index >> control) & 1) << target
+    index.flags.writeable = False  # shared by every later call
+    return index
+
+
 def simulate_ideal(circuit: Circuit, theta: np.ndarray | None = None) -> np.ndarray:
-    """Exact statevector of circuit applied to |0...0>."""
+    """Exact statevector of circuit applied to |0...0>.
+
+    X and CX permute basis states, so they are applied as an index gather,
+    which gives the amplitudes a product with their 0/1 matrix would (up to
+    the sign of a zero); every other gate goes through `_apply`."""
     if circuit.num_params > 0:
         if theta is None:
             raise ValueError("circuit has parameter slots; theta is required")
@@ -173,7 +207,10 @@ def simulate_ideal(circuit: Circuit, theta: np.ndarray | None = None) -> np.ndar
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     for gate in circuit.gates:
-        state = _apply(state, gate_matrix(gate, theta), tuple(n - 1 - q for q in gate.qubits), n)
+        if gate.kind in _GATHERED:
+            state = state.reshape(-1)[_gather_index(gate.kind, gate.qubits, n)]
+        else:
+            state = _apply(state, gate_matrix(gate, theta), tuple(n - 1 - q for q in gate.qubits), n)
     return state.reshape(-1)
 
 

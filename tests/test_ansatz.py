@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from enqode.ansatz import AnsatzConfig, build, cy_pairs, invert_epilogue
+from enqode import ansatz, pipeline
+from enqode.ansatz import AnsatzConfig, ansatz_physical, build, cy_pairs, invert_epilogue
 from enqode.circuit import GateKind
 from enqode.symbolic import OverlapModel
 
@@ -44,6 +45,22 @@ def test_build_is_deterministic():
     b = build(AnsatzConfig(5, 3)).logical_circuit
     assert a.gates == b.gates
     assert a.num_params == b.num_params
+
+
+def test_physical_circuit_and_embedding_share_one_build(monkeypatch):
+    builds = []  # every build starts from init_plus_i, whoever calls it
+    real = ansatz.init_plus_i
+    monkeypatch.setattr(ansatz, "init_plus_i", lambda n: builds.append(n) or real(n))
+    config = AnsatzConfig(3, 2)
+    pipeline._bundle_for.cache_clear()
+    bundle = pipeline._bundle_for(config)
+    physical = ansatz_physical(config)
+    assert builds == [3]
+    assert physical.num_params == bundle.logical_circuit.num_params
+    pipeline._bundle_for.cache_clear()
+    ansatz_physical(config)
+    assert builds == [3, 3]
+    pipeline._bundle_for.cache_clear()
 
 
 @given(st.integers(2, 6), st.integers(1, 5))

@@ -25,6 +25,36 @@ def test_out_of_range_qubit_rejected():
         Circuit(2).sx(2)
 
 
+_ONE_QUBIT_HELPERS = ("sx", "x")
+_TWO_QUBIT_HELPERS = ("cx", "cy", "swap", "ecr")
+
+
+def test_angle_free_helpers_share_one_gate_per_kind_and_qubits():
+    for name in _ONE_QUBIT_HELPERS + _TWO_QUBIT_HELPERS:
+        qubits = (2,) if name in _ONE_QUBIT_HELPERS else (2, 0)
+        first = getattr(Circuit(3), name)(*qubits).gates[0]
+        second = getattr(Circuit(4), name)(*qubits).gates[0]
+        assert first is second
+        assert first == Gate(GateKind(name.upper()), qubits)
+        reversed_pair = getattr(Circuit(3), name)(*qubits[::-1]).gates[0]
+        assert reversed_pair.qubits == qubits[::-1]
+
+
+def test_shared_gates_are_still_validated():
+    for name in _TWO_QUBIT_HELPERS:
+        for _ in range(2):  # a rejected gate is never cached
+            with pytest.raises(ValueError, match="duplicate"):
+                getattr(Circuit(2), name)(0, 0)
+            with pytest.raises(ValueError, match="out of range"):
+                getattr(Circuit(2), name)(0, 5)
+    for name in _ONE_QUBIT_HELPERS:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                getattr(Circuit(2), name)(5)
+            with pytest.raises(ValueError, match="out of range"):
+                getattr(Circuit(2), name)(-1)
+
+
 def test_rotation_needs_angle_xor_slot():
     with pytest.raises(ValueError):
         Gate(GateKind.RZ, (0,), angle=0.5, slot=0)

@@ -201,6 +201,28 @@ def test_train_rejects_malformed_dataset_sidecar(tmp_path, capsys, sidecar, mess
     assert not (out / "library.json").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"rows": 99}, "rows is 99 but {csv} has 12"),
+    ({"dims": 7}, "dims is 7 but {csv} has 4"),
+    ({"rows": "12"}, 'rows must be an integer, got "12"'),
+], ids=["rows_off", "dims_off", "string_rows"])
+def test_train_rejects_a_sidecar_that_does_not_match_its_csv(tmp_path, capsys, change, message):
+    raw = _blob_csv(tmp_path)
+    out = tmp_path / "run"
+    args = ["--qubits", "2", "--layers", "2", "--out", str(out)]
+    assert run_cli(["prepare", raw, *args], capsys)[0] == EXIT_OK
+    path = out / "prepared.csv.provenance.json"
+    sidecar = json.loads(path.read_text())
+    assert (sidecar["rows"], sidecar["dims"]) == (12, 4)
+    path.write_text(json.dumps({**sidecar, **change}))
+    code, stdout, stderr = run_cli(["train", *args], capsys)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr == f"error: {path} {message.format(csv=out / 'prepared.csv')}\n"
+    assert "Traceback" not in stderr
+    assert not (out / "library.json").exists()
+
+
 
 def test_train_three_blobs_finds_three_clusters(tmp_path, capsys):
     # the blob separation only forces three clusters from four qubits up

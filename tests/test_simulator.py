@@ -397,6 +397,39 @@ def test_apply_does_not_depend_on_the_layout_of_its_input():
                 assert np.array_equal(got, simulator._apply(np.ascontiguousarray(view), op, second, rank))
 
 
+def _fixed_layout_pass(coords, op, axes, rank):
+    """One 16x16 pass on contiguous coordinates in canonical axis order, with
+    the operand laid out by `axes` alone: read as a transpose for the
+    trailing axes, row-major otherwise."""
+    rest = tuple(a for a in range(rank) if a not in axes)
+    if axes == tuple(range(rank - 4, rank)):
+        out = op @ coords.reshape(-1, 16).T
+    else:
+        out = op @ np.ascontiguousarray(coords.transpose(axes + rest)).reshape(16, -1)
+    return out.reshape((2,) * rank).transpose(np.argsort(axes + rest)).reshape(-1)
+
+
+def test_a_pass_gives_the_same_bits_in_every_memory_order():
+    # The noisy simulator keeps its coordinates in whatever axis order the
+    # last pass left; a pass must give the bits of the fixed-layout product.
+    rng = np.random.default_rng(59)
+    for n in range(2, 9):
+        rank = 2 * n
+        coords = rng.normal(size=(2,) * rank)
+        qubit_order = rng.permutation(n)
+        memory = tuple(a for q in qubit_order for a in (2 * q, 2 * q + 1))
+        shuffled = np.ascontiguousarray(coords.transpose(memory)).transpose(np.argsort(memory))
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                axes = (2 * (n - 1 - a), 2 * (n - 1 - a) + 1, 2 * (n - 1 - b), 2 * (n - 1 - b) + 1)
+                op = rng.normal(size=(16, 16))
+                want = _fixed_layout_pass(coords, op, axes, rank)
+                for held in (coords, shuffled):
+                    assert np.array_equal(simulator._apply(held, op, axes, rank).reshape(-1), want)
+
+
 # ------------------------------------------------- Pauli coordinates and PTMs
 
 
