@@ -49,8 +49,9 @@ class Dataset:
 
 def load_csv(path, has_label_column: bool = False) -> Dataset:
     """Parse a rectangular numeric CSV, optionally with a trailing integer
-    label column. A non-numeric first line is treated as a header and
-    skipped. Errors name the offending 1-based line."""
+    label column, whose cells must be integral values in int64 range. A
+    non-numeric first line is treated as a header and skipped. Errors name
+    the offending 1-based line."""
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None
@@ -76,7 +77,11 @@ def load_csv(path, has_label_column: bool = False) -> Dataset:
                     f"{path}: ragged row on line {lineno}: expected {width} cells, got {len(parsed)}"
                 )
             if has_label_column:
-                labels.append(int(parsed[-1]))
+                label = parsed[-1]
+                if not (label.is_integer() and -2.0**63 <= label < 2.0**63):
+                    raise ValueError(f"{path}: label on line {lineno}, column {width} is not an "
+                                     f"integer class: {cells[-1]!r}")
+                labels.append(int(label))
                 parsed = parsed[:-1]
             rows.append(parsed)
     if not rows:

@@ -23,24 +23,24 @@ depolarizing channel maps coordinates linearly through its Pauli transfer
 matrix (PTM), diag(1, 1-p, ..., 1-p) R_U with (R_U)_ij = tr(P_i U P_j U^dag)/d.
 Every channel here maps Hermitian matrices to Hermitian matrices, so the
 coordinates and every PTM are real: a pass is a real GEMM on half the bytes
-of a complex rho. RZ is a noiseless virtual frame change; its PTM rotates
-the qubit's X and Y coordinates by the angle, so it is applied as a
-rotation of two rows of whatever block it joins, never as a matrix
-product, and RZ(0) is skipped. rho is built from the coordinates once, at
-the end.
+of a complex rho. RZ is a noiseless virtual frame change; its PTM is the
+identity with the qubit's X and Y coordinates rotated by the angle
+(`_rz_ptm`), and RZ(0) is skipped. rho is built from the coordinates once,
+at the end.
 
-PTMs are composed before they touch the coordinates. Each qubit holds
-either a pending 4x4 PTM (the one-qubit gates on it not yet applied) or a
-place in one open 16x16 block on a qubit pair, indexed 4*p_a + p_b. A gate
-whose qubits all lie in one open block multiplies into it, in either
-orientation of the pair; a one-qubit gate on a qubit outside any block
-composes into that qubit's pending PTM. A two-qubit gate on any other pair
-flushes the open blocks on its qubits (one `_apply` pass each) and opens a
-new block that absorbs the pending PTMs of its qubits. At the end every
-open block gets one pass, and the PTMs still pending are folded into the
-per-qubit conversion back to rho. Routed circuits repeat pairs (a SWAP is
-three CX on one pair, and one-qubit gates bracket each CX), so most gates
-cost a 16x16 product instead of a pass.
+PTMs are composed before they touch the coordinates, by one rule per arity.
+Every one-qubit gate, RZ included, composes into its qubit's pending 4x4
+PTM (the one-qubit gates on it not yet applied), whether or not the qubit
+sits in an open block. A two-qubit gate works on a 16x16 block on its qubit
+pair, indexed 4*p_a + p_b: if its qubits lie in one open block it extends
+that block, in either orientation of the pair; otherwise it flushes the open
+blocks on its qubits (one `_apply` pass each) and opens a new one. Either
+way the block becomes PTM(gate) @ (p_a (x) p_b) @ block, taking in the
+pending PTMs of the pair, which act after the block. A flush applies the
+block alone, so pending PTMs stay until the next block on their qubit or
+the per-qubit conversion back to rho. Routed circuits repeat pairs (a SWAP
+is three CX on one pair, and one-qubit gates bracket each CX), so most gates
+cost a 4x4 or 16x16 product instead of a pass.
 
 This is exact, not an approximation: a composition of channels is a
 channel whose PTM is the product of theirs, and operations on disjoint
@@ -53,6 +53,7 @@ the intended working size is 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -258,9 +259,6 @@ _ZERO_COORDS = np.array([1.0, 0.0, 0.0, 1.0])
 _TO_DENSITY = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
 # Block index 4*p_a + p_b on the pair (a, b) for index 4*p_b + p_a on (b, a).
 _SWAPPED = np.array([4 * (i % 4) + i // 4 for i in range(16)])
-# The X and Y rows of a qubit: in its pending 4x4, and at position 0 or 1 of a block.
-_PENDING_XY = (1, 2)
-_BLOCK_XY = ((slice(4, 8), slice(8, 12)), (slice(1, None, 4), slice(2, None, 4)))
 
 
 def _ptm(u: np.ndarray, p: float) -> np.ndarray:
@@ -275,15 +273,18 @@ def _ptm(u: np.ndarray, p: float) -> np.ndarray:
     return ptm
 
 
-def _rotate_xy(block: np.ndarray, rows: tuple, angle: float) -> np.ndarray:
-    """RZ(angle) after `block`: its X and Y rows rotated by angle, in a new array."""
-    c, s = np.cos(angle), np.sin(angle)
-    x_rows, y_rows = rows
-    x, y = block[x_rows], block[y_rows]
-    out = block.copy()
-    out[x_rows] = c * x - s * y
-    out[y_rows] = s * x + c * y
-    return out
+def _rz_ptm(angle: float) -> np.ndarray:
+    """PTM of RZ(angle): the identity with the X and Y coordinates rotated by angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    r = _I4.copy()
+    r[1, 1] = r[2, 2] = c
+    r[1, 2], r[2, 1] = -s, s
+    return r
+
+
+def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two 4x4s, the same products without its general-case overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
 
 
 def _to_density(coords: np.ndarray, n: int, pending: dict[int, np.ndarray]) -> np.ndarray:
@@ -313,23 +314,19 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
 
-    fixed: dict[tuple, np.ndarray] = {}  # angle-free PTMs by (kind, form); never mutated
+    fixed: dict[tuple, np.ndarray] = {}  # angle-free PTMs by (kind, swapped); never mutated
 
-    def ptm(gate: Gate, form) -> np.ndarray:
-        """form None: the gate's own basis; 0 or 1: a one-qubit gate lifted
-        onto that position of a block; "swapped": a two-qubit gate in the
-        block order of its reversed pair."""
-        r = fixed.get((gate.kind, form))
+    def ptm(gate: Gate, swapped: bool = False) -> np.ndarray:
+        """The gate's PTM in its own basis, or with `swapped` a two-qubit
+        gate's in the block order of its reversed pair."""
+        r = fixed.get((gate.kind, swapped))
         if r is None:
-            if form is None:
+            if swapped:
+                r = ptm(gate)[np.ix_(_SWAPPED, _SWAPPED)]
+            else:
                 p = noise.p2 if gate.kind in TWO_QUBIT_KINDS else noise.p1
                 r = _ptm(gate_matrix(gate), p)
-            elif form == "swapped":
-                r = ptm(gate, None)[np.ix_(_SWAPPED, _SWAPPED)]
-            else:
-                own = ptm(gate, None)
-                r = np.kron(own, _I4) if form == 0 else np.kron(_I4, own)
-            fixed[(gate.kind, form)] = r
+            fixed[(gate.kind, swapped)] = r
         return r
 
     coords = np.ones(1)
@@ -350,35 +347,27 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
         qubits = gate.qubits
         if len(qubits) == 1:
             q = qubits[0]
-            pair = open_pair.get(q)
             if gate.is_virtual:
                 angle = _angle(gate, theta)
                 if angle == 0.0:  # the identity; every lowered RY emits one
                     continue
-                if pair is not None:
-                    blocks[pair] = _rotate_xy(blocks[pair], _BLOCK_XY[pair.index(q)], angle)
-                else:
-                    pending[q] = _rotate_xy(pending.get(q, _I4), _PENDING_XY, angle)
-            elif pair is not None:
-                blocks[pair] = ptm(gate, pair.index(q)) @ blocks[pair]
+                r = _rz_ptm(angle)
             else:
-                r = ptm(gate, None)
-                pending[q] = r @ pending[q] if q in pending else r
+                r = ptm(gate)
+            pending[q] = r @ pending[q] if q in pending else r
             continue
         pair = open_pair.get(qubits[0])
-        if pair is not None and pair == open_pair.get(qubits[1]):
-            form = None if pair == qubits else "swapped"
-            blocks[pair] = ptm(gate, form) @ blocks[pair]
-            continue
-        for q in qubits:
-            if q in open_pair:
-                flush(open_pair[q])
-        block = ptm(gate, None)
-        if qubits[0] in pending or qubits[1] in pending:
-            block = block @ np.kron(pending.pop(qubits[0], _I4), pending.pop(qubits[1], _I4))
-        blocks[qubits] = block
-        for q in qubits:
-            open_pair[q] = qubits
+        if pair is None or pair != open_pair.get(qubits[1]):
+            for q in qubits:
+                if q in open_pair:
+                    flush(open_pair[q])
+            pair = qubits
+            for q in pair:
+                open_pair[q] = pair
+        block = ptm(gate, pair != qubits)
+        if pair[0] in pending or pair[1] in pending:
+            block = block @ _kron4(pending.pop(pair[0], _I4), pending.pop(pair[1], _I4))
+        blocks[pair] = block @ blocks[pair] if pair in blocks else block
     for pair in list(blocks):
         flush(pair)
     return DensityMatrix(n, _to_density(coords, n, pending))

@@ -122,6 +122,26 @@ def test_prepare_rejects_nan_cell_with_one_line_message(tmp_path, capsys):
     assert not (out / "prepared.csv").exists()
 
 
+@pytest.mark.parametrize("label", ["1.5", "1e30"], ids=["fractional", "out_of_int64"])
+def test_prepare_rejects_a_label_that_is_not_an_integer_class(tmp_path, label, capsys):
+    rng = np.random.default_rng(5)
+    raw = _write_csv(tmp_path / "labeled.csv", rng.normal(size=(12, 4)), np.repeat([0, 1], 6))
+    lines = (tmp_path / "labeled.csv").read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + "," + label
+    (tmp_path / "labeled.csv").write_text("\n".join(lines) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"has_labels": True}))
+    out = tmp_path / "run"
+    code, stdout, stderr = run_cli(
+        ["prepare", raw, "--config", str(config), "--qubits", "2", "--out", str(out)], capsys)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+    assert stderr.strip() == (
+        f"error: {raw}: label on line 5, column 5 is not an integer class: '{label}'")
+    assert not (out / "prepared.csv").exists()
+
+
 def test_unknown_config_keys_exit_2(tmp_path, capsys):
     raw = _blob_csv(tmp_path)
     config = tmp_path / "c.json"

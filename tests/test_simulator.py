@@ -445,8 +445,10 @@ def _oracle_unitaries(rng):
 
 
 def test_noiseless_ptm_is_real_orthogonal_and_fixes_the_identity():
-    for u in _oracle_unitaries(np.random.default_rng(50)):
-        r = simulator._ptm(u, 0.0)
+    rng = np.random.default_rng(50)
+    cases = [(simulator._ptm(u, 0.0), u) for u in _oracle_unitaries(rng)]
+    cases += [(simulator._rz_ptm(float(t)), oracles.rz(t)) for t in rng.uniform(-np.pi, np.pi, size=4)]
+    for r, u in cases:
         size = u.shape[0] ** 2
         e0 = np.eye(size)[0]
         assert r.dtype == np.float64 and r.shape == (size, size)
@@ -463,6 +465,13 @@ def test_noisy_ptm_is_depolarizing_scaling_of_the_unitary_ptm():
             expected = scaling @ oracles.pauli_transfer_matrix(u, 0.0)
             assert np.max(np.abs(oracles.pauli_transfer_matrix(u, p) - expected)) <= 1e-14
             assert np.max(np.abs(simulator._ptm(u, p) - expected)) <= 1e-14
+
+
+def test_kron4_is_bit_for_bit_np_kron():
+    rng = np.random.default_rng(58)
+    for _ in range(20):
+        a, b = rng.normal(size=(2, 4, 4))
+        assert np.array_equal(simulator._kron4(a, b), np.kron(a, b))
 
 
 def _random_density(rng, n):
