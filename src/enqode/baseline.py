@@ -2,26 +2,29 @@
 
 The reference method prepares a real unit vector exactly. A disentangling
 tree of uniformly controlled Ry rotations fixes one qubit per stage (high
-bit first); each multiplexor with m controls expands to 2^m Ry plus
-2^(m+1) - 2 CX through the halving recursion, which closes each half at
-every level with a CX and cancels none of them. A dense n-qubit target thus
-gets 2^n - 1 Ry and 2^(n+1) - 2n - 2 CX (240 at n = 7); the Gray-code form
-of the same multiplexors would need 2^m CX each (126 at n = 7).
+bit first). Each multiplexor with m >= 1 controls is the Gray-code form
+(Mottonen et al., quant-ph/0407010): 2^m Ry, each followed by one CX. A
+dense n-qubit target thus gets 2^n - 1 Ry and 2^n - 2 CX (126 at n = 7).
 Lowering rewrites every gate into {RZ, SX, X} plus one two-qubit kind with
 fixed rules and no merging or cancellation. Routing legalizes two-qubit
-gates onto a linear chain by inserting SWAP chains.
+gates onto a linear chain: when a gate's operands are not adjacent, the
+operand whose walk leaves fewer SWAPs for the next eight two-qubit gates
+walks to the other, one inserted SWAP per step (the first operand on a
+tie). The final layout is returned, not restored.
 
 Multiplexors whose angle block is exactly zero are skipped: the skipped
-subcircuit composes to the identity (every CX in the cascade appears an
-even number of times with a common target), so pruning stays exact. This
-is what makes gate counts data-dependent: sparse targets produce shorter
-circuits, dense targets the full tree.
+subcircuit composes to the identity (the Gray cycle flips every control
+an even number of times, all with a common target), so pruning stays
+exact. A block of equal angles is one Ry. This is what makes gate counts
+data-dependent: sparse targets produce shorter circuits, dense targets
+the full tree.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
 ]
 
 _HALF_PI = np.pi / 2
+_LOOKAHEAD = 8  # two-qubit gates the router scores a walk over
 
 
 @dataclass(frozen=True)
@@ -93,20 +97,47 @@ def synthesize_exact(x) -> Circuit:
 
 
 def _multiplexed_ry(target: int, controls: list[int], angles: np.ndarray) -> list[Gate]:
-    """Halving recursion for a uniformly controlled Ry; bit j of the angle
-    index is the value of controls[j]. Exact-zero angle blocks emit nothing."""
+    """Gray-code uniformly controlled Ry; bit j of the angle index is the
+    value of controls[j]. Ry i is followed by a CX from the control whose bit
+    flips between gray(i) and gray(i+1), so the CX cascade returns to the
+    identity. Exact-zero blocks emit nothing, uniform blocks one Ry."""
     if not np.any(angles):
         return []
-    if not controls:
-        return [Gate(GateKind.RY, (target,), angle=float(angles[0]))]
-    half = len(angles) // 2
-    low, high = angles[:half], angles[half:]
-    first = _multiplexed_ry(target, controls[:-1], 0.5 * (low + high))
-    second = _multiplexed_ry(target, controls[:-1], 0.5 * (low - high))
-    if not first and not second:
-        return []
-    cx = fixed_gate(GateKind.CX, (controls[-1], target))
-    return [*first, cx, *second, cx]
+    order, flips = _gray_code(len(controls))
+    theta = _walsh_hadamard(angles)[order]
+    if not np.any(theta[1:]):
+        return [Gate(GateKind.RY, (target,), angle=float(theta[0]))]
+    gates = []
+    for angle, k in zip(theta.tolist(), flips):
+        gates.append(Gate(GateKind.RY, (target,), angle=angle))
+        gates.append(fixed_gate(GateKind.CX, (controls[k], target)))
+    return gates
+
+
+def _walsh_hadamard(angles: np.ndarray) -> np.ndarray:
+    """H angles / 2^m with H_cj = (-1)^popcount(c & j), as a butterfly that
+    halves each sum and difference. Read at gray(i), this is theta = M^T
+    angles / 2^m with M_ci = (-1)^popcount(c & gray(i)). Equal angles give
+    exactly zero differences."""
+    out = np.array(angles, dtype=float)
+    half = 1
+    while half < out.size:
+        pairs = out.reshape(-1, 2, half)
+        low, high = pairs[:, 0], pairs[:, 1]
+        out = np.stack((0.5 * (low + high), 0.5 * (low - high)), axis=1).reshape(-1)
+        half *= 2
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gray_code(m: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """gray(i) = i ^ (i >> 1) for i < 2^m as a read-only index array, and
+    the bit that flips from gray(i) to gray((i + 1) mod 2^m) for each i."""
+    index = np.arange(1 << m)
+    order = index ^ (index >> 1)
+    order.flags.writeable = False
+    flips = tuple((i & -i).bit_length() - 1 for i in range(1, 1 << m)) + (m - 1,)
+    return order, flips
 
 
 def _lower_rotation(out: Circuit, kind: GateKind, qubit: int, angle: float) -> None:
@@ -177,31 +208,73 @@ def lower_to_basis(circuit: Circuit, two_qubit: GateKind = GateKind.CX) -> Circu
 def route_linear(circuit: Circuit) -> RoutedCircuit:
     """Make every two-qubit gate act on adjacent chain positions.
 
-    Greedy nearest-move policy: the first operand walks one position at a
-    time toward the second, each step an inserted SWAP of neighboring
-    physical wires. The final logical-to-physical map is returned so
-    callers can undo the accumulated permutation on simulated states.
-    A gate whose wires equal its qubits is passed through as it is.
-    Inserted SWAPs are IR-level and still need one lowering pass.
+    When a gate's operands are not adjacent, one of them walks one position
+    at a time toward the other, each step an inserted SWAP of neighboring
+    physical wires. Either walk costs the same SWAPs for this gate; the one
+    whose layout leaves fewer SWAPs for the next `_LOOKAHEAD` two-qubit
+    gates (summed distances, nothing routed in between) walks, and on a tie
+    the first operand does. The final logical-to-physical map is returned so callers
+    can undo the accumulated permutation on simulated states. A gate whose
+    wires equal its qubits is passed through as it is. Inserted SWAPs are
+    IR-level and still need one lowering pass.
     """
     position = list(range(circuit.num_qubits))  # position[logical] = physical wire
+    pairs = [gate.qubits for gate in circuit.gates if len(gate.qubits) == 2]
+    upcoming = 0  # index in `pairs` of the next two-qubit gate
     out = Circuit(circuit.num_qubits)
     for gate in circuit.gates:
-        if len(gate.qubits) == 2:
-            a, b = gate.qubits
-            while abs(position[a] - position[b]) > 1:
-                step = 1 if position[b] > position[a] else -1
-                here, there = position[a], position[a] + step
-                neighbor = position.index(there)
-                out.swap(here, there)
-                position[a], position[neighbor] = there, here
-        wires = tuple(position[q] for q in gate.qubits)
-        if wires != gate.qubits:
+        qubits = gate.qubits
+        if len(qubits) == 2:
+            upcoming += 1
+            a, b = qubits
+            if abs(position[a] - position[b]) > 1:
+                ahead = pairs[upcoming:upcoming + _LOOKAHEAD]
+                walker = a
+                if _walk_cost(position, b, a, ahead) < _walk_cost(position, a, b, ahead):
+                    walker = b
+                _walk(out, position, walker, a + b - walker)
+            wires = (position[a], position[b])
+        else:
+            wires = (position[qubits[0]],)
+        if wires != qubits:
             gate = (Gate(gate.kind, wires, angle=gate.angle, slot=gate.slot)
                     if gate.kind in ROTATION_KINDS else fixed_gate(gate.kind, wires))
         out.append(gate)
     out.num_params = circuit.num_params
     return RoutedCircuit(circuit=out, layout=tuple(position))
+
+
+def _walk_cost(position: list[int], walker: int, other: int, ahead: list[tuple[int, ...]]) -> int:
+    """SWAPs the pairs in `ahead` would need, each alone, once `walker` has
+    walked next to `other`. The walk moves the walker from `src` to `dst`
+    and shifts every wire in between one step back toward `src`."""
+    src, stop = position[walker], position[other]
+    step = 1 if stop > src else -1
+    dst = stop - step
+    low, high = (src, dst) if step > 0 else (dst, src)
+    cost = 0
+    for p, q in ahead:
+        wp, wq = position[p], position[q]
+        if wp == src:
+            wp = dst
+        elif low <= wp <= high:
+            wp -= step
+        if wq == src:
+            wq = dst
+        elif low <= wq <= high:
+            wq -= step
+        cost += abs(wp - wq) - 1
+    return cost
+
+
+def _walk(out: Circuit, position: list[int], walker: int, other: int) -> None:
+    """Walk `walker` next to `other`, one SWAP of neighboring wires a step."""
+    step = 1 if position[other] > position[walker] else -1
+    while abs(position[walker] - position[other]) > 1:
+        here, there = position[walker], position[walker] + step
+        neighbor = position.index(there)
+        out.swap(here, there)
+        position[walker], position[neighbor] = there, here
 
 
 def permute_state(state: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:

@@ -131,20 +131,20 @@ def metrics(circuit: Circuit) -> GateCounts:
     one_q = two_q = rz = 0
     level = [0] * circuit.num_qubits
     for gate in circuit.gates:
-        if gate.is_virtual:
-            rz += 1
-            continue
-        if gate.kind in TWO_QUBIT_KINDS:
+        qubits = gate.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            level[a] = level[b] = 1 + (level[a] if level[a] > level[b] else level[b])
             two_q += 1
+        elif gate.kind is GateKind.RZ:
+            rz += 1
         else:
+            level[qubits[0]] += 1
             one_q += 1
-        depth_here = 1 + max(level[q] for q in gate.qubits)
-        for q in gate.qubits:
-            level[q] = depth_here
     return GateCounts(
         one_qubit_physical=one_q,
         two_qubit_physical=two_q,
         virtual_rz=rz,
         total_physical=one_q + two_q,
-        depth_physical=max(level) if level else 0,
+        depth_physical=max(level),
     )

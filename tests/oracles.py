@@ -106,6 +106,20 @@ def gate_operator(gate, n, theta=None):
     raise ValueError(f"no oracle rule for {kind}")
 
 
+def uniformly_controlled_ry(target, controls, angles, n):
+    """Block-diagonal reference: Ry(angles[c]) on target, where bit j of c
+    is the value of controls[j]."""
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    for col in range(1 << n):
+        c = sum(((col >> q) & 1) << j for j, q in enumerate(controls))
+        block = ry(angles[c])
+        bit = (col >> target) & 1
+        for out_bit in range(2):
+            row = (col & ~(1 << target)) | (out_bit << target)
+            u[row, col] = block[out_bit, bit]
+    return u
+
+
 def circuit_unitary(circuit: Circuit, theta=None) -> np.ndarray:
     """Full unitary as an explicit product of embedded gate operators."""
     u = np.eye(1 << circuit.num_qubits, dtype=complex)
@@ -240,6 +254,42 @@ def reference_noisy_density(num_qubits, gates, p1, p2, theta=None):
             p = p2 if len(gate.qubits) == 2 else p1
         rho = _reference_evolve_gate(rho, u, tuple(gate.qubits), p, n)
     return rho
+
+
+def reference_state(circuit: Circuit, theta=None) -> np.ndarray:
+    """Statevector of a basis-lowered circuit (RZ, SX, X, CX, ECR) from
+    |0...0>, one `reference_apply_unitary` per gate; for circuits whose full
+    unitary is too large to build gate by gate."""
+    n = circuit.num_qubits
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    for gate in circuit.gates:
+        if gate.kind.value == "RZ":
+            u = rz(gate.angle if gate.angle is not None else float(theta[gate.slot]))
+        else:
+            u = _REFERENCE_FIXED[gate.kind.value]
+        state = reference_apply_unitary(state, u, tuple(gate.qubits), n)
+    return state
+
+
+def reference_metrics(circuit: Circuit) -> tuple[int, int, int, int, int]:
+    """(one-qubit physical, two-qubit physical, RZ, total physical, depth),
+    with RZ transparent: each physical gate starts one level above the
+    deepest of its qubits."""
+    one_q = two_q = rz_count = 0
+    level = [0] * circuit.num_qubits
+    for gate in circuit.gates:
+        if gate.kind is GateKind.RZ:
+            rz_count += 1
+            continue
+        if len(gate.qubits) == 2:
+            two_q += 1
+        else:
+            one_q += 1
+        depth_here = 1 + max(level[q] for q in gate.qubits)
+        for q in gate.qubits:
+            level[q] = depth_here
+    return one_q, two_q, rz_count, one_q + two_q, max(level)
 
 
 # ------------------------------------------------------ Pauli coordinates

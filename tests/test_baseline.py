@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from enqode.ansatz import AnsatzConfig, cached_build
 from enqode.baseline import (
+    _multiplexed_ry,
     compile_exact,
     lower_to_basis,
     permute_state,
@@ -74,17 +76,43 @@ def test_synthesize_three_qubits_vs_oracle():
         assert oracles.states_match(state, x, 1e-10)
 
 
-def test_synthesize_dense_gate_counts_follow_the_halving_recursion():
-    # an m-control multiplexor takes 2^(m+1) - 2 CX and 2^m RY
+def test_synthesize_dense_gate_counts_follow_the_gray_code():
+    # an m-control multiplexor takes 2^m CX (none for m = 0) and 2^m RY
     rng = np.random.default_rng(13)
     cx_counts = []
     for n in range(1, 8):
         kinds = [g.kind for g in synthesize_exact(_random_unit(rng, 1 << n)).gates]
-        assert kinds.count(GateKind.CX) == sum(2 ** (m + 1) - 2 for m in range(n))
+        assert kinds.count(GateKind.CX) == sum(2**m for m in range(1, n))
         assert kinds.count(GateKind.RY) == 2**n - 1
         assert len(kinds) == kinds.count(GateKind.CX) + kinds.count(GateKind.RY)
         cx_counts.append(kinds.count(GateKind.CX))
-    assert cx_counts == [0, 2, 8, 22, 52, 114, 240]
+    assert cx_counts == [0, 2, 6, 14, 30, 62, 126]
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_gray_multiplexor_matches_the_uniformly_controlled_ry(m):
+    rng = np.random.default_rng([31, m])
+    n = m + 1
+    order = [int(q) for q in rng.permutation(n)]
+    target, controls = order[0], order[1:]
+    angles = rng.uniform(-np.pi, np.pi, size=1 << m)
+    circuit = Circuit(n)
+    for gate in _multiplexed_ry(target, controls, angles):
+        circuit.append(gate)
+    kinds = [g.kind for g in circuit.gates]
+    assert kinds.count(GateKind.RY) == 1 << m
+    assert kinds.count(GateKind.CX) == (1 << m if m else 0)
+    expected = oracles.uniformly_controlled_ry(target, controls, angles, n)
+    assert np.max(np.abs(oracles.circuit_unitary(circuit, None) - expected)) <= 1e-10
+
+
+def test_gray_multiplexor_prunes_zero_and_uniform_blocks():
+    for m in range(5):
+        controls = list(range(1, m + 1))
+        assert _multiplexed_ry(0, controls, np.zeros(1 << m)) == []
+        assert _multiplexed_ry(0, controls, np.full(1 << m, 0.3)) == [
+            Gate(GateKind.RY, (0,), angle=0.3)
+        ]
 
 
 def test_synthesize_rejects_bad_targets():
@@ -286,6 +314,50 @@ def test_route_never_decreases_two_qubit_count():
         assert after >= before
 
 
+def test_route_makes_every_two_qubit_gate_chain_adjacent():
+    rng = np.random.default_rng(19)
+    for num_qubits in range(2, 9):
+        circuit = Circuit(num_qubits)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                circuit.rz(int(rng.integers(num_qubits)), angle=float(rng.uniform(-np.pi, np.pi)))
+                circuit.sx(int(rng.integers(num_qubits)))
+            else:
+                a, b = rng.choice(num_qubits, size=2, replace=False)
+                circuit.cx(int(a), int(b))
+        routed = route_linear(circuit)
+        for gate in routed.circuit.gates:
+            if len(gate.qubits) == 2:
+                assert abs(gate.qubits[0] - gate.qubits[1]) == 1
+        assert sorted(routed.layout) == list(range(num_qubits))
+        if num_qubits <= 6:
+            state = oracles.reference_state(lower_to_basis(routed.circuit))
+            target = permute_state(oracles.reference_state(circuit), routed.layout)
+            assert np.max(np.abs(state - target)) <= 1e-10
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+def test_ansatz_routes_with_zero_swaps(two_qubit):
+    for num_qubits in range(2, 11):
+        logical = cached_build(AnsatzConfig(num_qubits, 8)).logical_circuit
+        routed = route_linear(lower_to_basis(logical, two_qubit))
+        assert all(g.kind is not GateKind.SWAP for g in routed.circuit.gates)
+        assert routed.layout == tuple(range(num_qubits))
+
+
+@pytest.mark.parametrize(
+    "num_qubits, cx, swaps, depth", [(7, 396, 90, 424), (8, 815, 187, 848)]
+)
+def test_route_counts_of_a_seeded_dense_target_are_pinned(num_qubits, cx, swaps, depth):
+    # a router regression shows here first; dense targets share one structure
+    x = _random_unit(np.random.default_rng(num_qubits), 1 << num_qubits)
+    routed = route_linear(lower_to_basis(synthesize_exact(x)))
+    assert sum(g.kind is GateKind.SWAP for g in routed.circuit.gates) == swaps
+    counts = compile_exact(x).metrics
+    assert counts.two_qubit_physical == cx
+    assert counts.depth_physical == depth
+
+
 # -- full pipeline -----------------------------------------------------------
 
 
@@ -299,6 +371,19 @@ def test_compile_exact_fidelity(seed, num_qubits):
     target = permute_state(x, result.layout)
     fidelity = abs(np.vdot(target, state)) ** 2
     assert fidelity >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+@pytest.mark.parametrize("num_qubits", [5, 6, 7, 8])
+def test_compile_exact_is_exact_at_larger_n(num_qubits, two_qubit):
+    rng = np.random.default_rng([43, num_qubits])
+    dense = _random_unit(rng, 1 << num_qubits)
+    sparse = dense * (rng.random(1 << num_qubits) < 0.3)
+    sparse[0] = 0.5
+    for x in (dense, sparse / np.linalg.norm(sparse)):
+        result = compile_exact(x, two_qubit)
+        state = oracles.reference_state(result.physical_circuit)
+        _states_match_phase(state, permute_state(x, result.layout), 1e-8)
 
 
 def test_compile_exact_physical_circuit_is_basis_legal():

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from enqode.baseline import compile_exact
 from enqode.circuit import Circuit, Gate, GateKind, metrics
 
 
@@ -168,3 +171,23 @@ def test_swapping_adjacent_disjoint_gates_preserves_metrics(case, data):
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
     assert metrics(_circuit_of(n, gates)) == metrics(_circuit_of(n, swapped))
 
+
+
+def _counts_tuple(counts):
+    return (counts.one_qubit_physical, counts.two_qubit_physical, counts.virtual_rz,
+            counts.total_physical, counts.depth_physical)
+
+
+@given(_gates(max_qubits=6))
+def test_metrics_equal_the_reference_on_random_circuits(case):
+    c = _circuit_of(*case)
+    assert _counts_tuple(metrics(c)) == oracles.reference_metrics(c)
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+def test_metrics_equal_the_reference_on_compiled_circuits(two_qubit):
+    rng = np.random.default_rng(47)
+    for num_qubits in range(1, 9):
+        x = rng.normal(size=1 << num_qubits)
+        physical = compile_exact(x / np.linalg.norm(x), two_qubit).physical_circuit
+        assert _counts_tuple(metrics(physical)) == oracles.reference_metrics(physical)
