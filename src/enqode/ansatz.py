@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .baseline import lower_to_basis, route_linear
+from .baseline import lower_to_basis
 from .circuit import Circuit, GateKind
 from .simulator import apply_unitary, rx_matrix, ry_matrix
 from .symbolic import PhaseLinearState, init_plus_i
@@ -94,10 +94,8 @@ def cached_build(config: AnsatzConfig) -> AnsatzBundle:
 
 def ansatz_physical(config: AnsatzConfig, two_qubit: GateKind = GateKind.CX) -> Circuit:
     """The fixed physical circuit shared by every sample: the logical
-    circuit lowered, routed for the chain and lowered again. Chain-adjacent
-    CY pairs mean routing inserts no SWAPs."""
-    routed = route_linear(lower_to_basis(cached_build(config).logical_circuit, two_qubit))
-    return lower_to_basis(routed.circuit, two_qubit)
+    circuit lowered to the basis. Chain-adjacent CY pairs need no routing."""
+    return lower_to_basis(cached_build(config).logical_circuit, two_qubit)
 
 
 def invert_epilogue(bundle: AnsatzBundle, x: np.ndarray) -> np.ndarray:

@@ -1,28 +1,36 @@
-"""Limited-memory BFGS with a strong-Wolfe line search.
+"""Minimization of an analytic (loss, gradient) callback with scipy's L-BFGS-B.
 
-The loss/gradient callback is expected to be analytic, deterministic, and
-cheap. The minimizer keeps a short history of curvature pairs, asks scipy's
-Wolfe search for a step length, and falls back to plain backtracking when
-the Wolfe search fails to bracket one.
+The callback is expected to be analytic, deterministic, and cheap. Every
+run is one unbounded `scipy.optimize.minimize(method="L-BFGS-B")` call that
+keeps the last `_HISTORY_SIZE` curvature pairs and receives the loss and
+gradient from one callback call per trial point.
+
+scipy stops a run on the first of three tests, which give `stop_reason`:
+
+- `grad_tolerance`: the gradient's infinity norm is at most
+  `_GRAD_TOLERANCE`.
+- `loss_tolerance`: an accepted step lowered the loss by at most
+  `_LOSS_TOLERANCE * max(|f_k|, |f_k+1|, 1)`. scipy's test is relative, but
+  every loss in this package lies in [0, 1], so it is an absolute decrease.
+- `max_iters`: `OptimizerOptions.max_iters` accepted steps.
+
+Any other stop is `line_search_failed`; scipy then returns the last
+accepted iterate.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.optimize import line_search as _wolfe_line_search
+import scipy.optimize
 
 __all__ = ["ObjectiveError", "OptimizerOptions", "OptimizeResult", "minimize"]
 
 _GRAD_TOLERANCE = 1e-7  # on the infinity norm of the gradient
 _LOSS_TOLERANCE = 1e-10  # on the accepted per-step loss decrease
 _HISTORY_SIZE = 10
-_WOLFE_C1 = 1e-4
-_WOLFE_C2 = 0.9
 # loss above which the optional seeded restart kicks in, and its seed
 _RESTART_LOSS = 0.2
 _RESTART_SEED = 0
@@ -69,112 +77,27 @@ def _checked_call(objective: Objective, theta: np.ndarray) -> Tuple[float, np.nd
     return loss, grad
 
 
-def _two_loop_direction(grad, s_hist, y_hist, rho_hist):
-    """Standard two-loop recursion for the L-BFGS descent direction."""
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * (s @ q)
-        alphas.append(a)
-        q -= a * y
-    if y_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        q *= (s @ y) / (y @ y)  # Barzilai-Borwein style initial scaling
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return -q
-
-
 def _run(objective: Objective, theta0: np.ndarray, opts: OptimizerOptions) -> OptimizeResult:
-    theta = np.array(theta0, dtype=float, copy=True)
     evals = [0]
 
-    # Shared evaluation cache so scipy's separate f/fprime callbacks cost one
-    # objective call per trial point.
-    cache: dict = {}
+    def checked(theta: np.ndarray) -> Tuple[float, np.ndarray]:
+        evals[0] += 1
+        return _checked_call(objective, theta)
 
-    def evaluate(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        key = x.tobytes()
-        if key not in cache:
-            cache[key] = _checked_call(objective, x)
-            evals[0] += 1
-        return cache[key]
-
-    loss, grad = evaluate(theta)
-    s_hist: deque = deque(maxlen=_HISTORY_SIZE)
-    y_hist: deque = deque(maxlen=_HISTORY_SIZE)
-    rho_hist: deque = deque(maxlen=_HISTORY_SIZE)
-
-    iterations = 0
-    converged = False
-    reason = "max_iters"
-    for _ in range(opts.max_iters):
-        if np.max(np.abs(grad)) <= _GRAD_TOLERANCE:
-            converged = True
-            reason = "grad_tolerance"
-            break
-
-        direction = _two_loop_direction(grad, s_hist, y_hist, rho_hist)
-        slope = direction @ grad
-        if slope >= 0.0:  # history gave a non-descent direction, reset
-            direction = -grad
-            slope = direction @ grad
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            alpha = _wolfe_line_search(
-                lambda x: evaluate(x)[0],
-                lambda x: evaluate(x)[1],
-                theta,
-                direction,
-                gfk=grad,
-                old_fval=loss,
-                c1=_WOLFE_C1,
-                c2=_WOLFE_C2,
-            )[0]
-        if alpha is None:
-            alpha = _backtrack(evaluate, theta, direction, loss, slope)
-        if alpha is None:
-            reason = "line_search_failed"
-            break
-
-        theta_new = theta + alpha * direction
-        loss_new, grad_new = evaluate(theta_new)
-        iterations += 1
-
-        s = theta_new - theta
-        y = grad_new - grad
-        curvature = s @ y
-        if curvature > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / curvature)
-
-        decrease = loss - loss_new
-        theta, loss, grad = theta_new, loss_new, grad_new
-        cache.clear()
-        cache[theta.tobytes()] = (loss, grad)
-        if decrease <= _LOSS_TOLERANCE:
-            converged = True
-            reason = "loss_tolerance"
-            break
-
-    return OptimizeResult(theta, loss, iterations, evals[0], converged, reason)
-
-
-def _backtrack(evaluate, theta, direction, loss, slope):
-    """Armijo backtracking; returns None when no decrease is achievable."""
-    alpha = 1.0
-    for _ in range(60):
-        trial_loss = evaluate(theta + alpha * direction)[0]
-        if trial_loss <= loss + _WOLFE_C1 * alpha * slope:
-            return alpha
-        alpha *= 0.5
-    return None
+    res = scipy.optimize.minimize(
+        checked, theta0, jac=True, method="L-BFGS-B",
+        options={"maxiter": opts.max_iters, "gtol": _GRAD_TOLERANCE,
+                 "ftol": _LOSS_TOLERANCE, "maxcor": _HISTORY_SIZE},
+    )
+    loss = float(res.fun)
+    if res.status > 1:  # scipy keeps the last accepted x but may return a rejected trial's loss
+        loss = checked(res.x)[0]
+    if res.status == 0:
+        grad_small = np.max(np.abs(res.jac)) <= _GRAD_TOLERANCE
+        reason = "grad_tolerance" if grad_small else "loss_tolerance"
+    else:
+        reason = "max_iters" if res.status == 1 else "line_search_failed"
+    return OptimizeResult(res.x, loss, res.nit, evals[0], res.status == 0, reason)
 
 
 def minimize(objective: Objective, theta0, opts: OptimizerOptions = OptimizerOptions()) -> OptimizeResult:

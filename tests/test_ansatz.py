@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from enqode import ansatz, pipeline
+from enqode import ansatz, baseline, pipeline
 from enqode.ansatz import AnsatzConfig, ansatz_physical, build, cy_pairs, invert_epilogue
 from enqode.circuit import GateKind
 from enqode.symbolic import OverlapModel
@@ -121,3 +121,18 @@ def test_generator_output_has_zero_loss_at_generator():
         assert np.allclose(np.abs(full), uniform, atol=1e-12)
         model = OverlapModel(bundle.symbolic, invert_epilogue(bundle, uniform))
         assert model.loss(theta0) <= 1e-12
+
+
+@pytest.mark.parametrize("two_qubit", [GateKind.CX, GateKind.ECR])
+def test_physical_circuit_equals_lower_route_lower(two_qubit):
+    # routing passes the ansatz through, so lowering once equals lower -> route -> lower
+    for num_qubits in range(2, 11):
+        for layers in (1, 4, 8):
+            config = AnsatzConfig(num_qubits, layers)
+            logical = ansatz.cached_build(config).logical_circuit
+            routed = baseline.route_linear(baseline.lower_to_basis(logical, two_qubit))
+            composed = baseline.lower_to_basis(routed.circuit, two_qubit)
+            physical = ansatz_physical(config, two_qubit)
+            assert physical.gates == composed.gates
+            assert physical.num_qubits == composed.num_qubits
+            assert physical.num_params == composed.num_params

@@ -346,6 +346,25 @@ def test_compare_partial_failure_warns_but_succeeds(tmp_path, capsys):
     assert report["metadata"]["failures"][0]["sample_id"] == 6
 
 
+def test_compare_report_is_identical_for_any_jobs(tmp_path, capsys):
+    raw = _blob_csv(tmp_path, num_qubits=4, per_cluster=12)  # 36 rows
+    out = str(tmp_path / "run")
+    args = ["--qubits", "4", "--layers", "2", "--out", out]
+    assert run_cli(["prepare", raw, *args], capsys)[0] == EXIT_OK
+    assert run_cli(["train", *args], capsys)[0] == EXIT_OK
+    reports = []
+    for jobs in (1, 2, 3):
+        code, _, _ = run_cli(["compare", f"{out}/prepared.csv", f"{out}/library.json",
+                              *args, "--jobs", str(jobs)], capsys)
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["metadata"]["config"]["jobs"] == jobs
+        assert report["aggregate"]["samples_compared"] == 36
+        report["metadata"]["config"]["jobs"] = None  # the only field that may differ
+        reports.append(json.dumps(strip_volatile(report), sort_keys=True))
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_compare_failures_are_in_sample_order_at_any_timing(tmp_path, capsys, monkeypatch):
     out = _trained(tmp_path, capsys)
     mixed = _mixed_csv(tmp_path)

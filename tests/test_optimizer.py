@@ -117,24 +117,22 @@ def test_non_finite_gradient_aborts():
         minimize(bad, np.ones(3))
 
 
+def _rosenbrock(theta):
+    x, y = theta
+    loss = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+    grad = np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+    return float(loss), grad
+
+
 def test_converged_false_at_iteration_cap():
     # Rosenbrock is slow enough that 3 iterations cannot finish it
-    def rosenbrock(theta):
-        x, y = theta
-        loss = (1 - x) ** 2 + 100 * (y - x * x) ** 2
-        grad = np.array([
-            -2 * (1 - x) - 400 * x * (y - x * x),
-            200 * (y - x * x),
-        ])
-        return float(loss), grad
-
-    result = minimize(rosenbrock, np.array([-1.2, 1.0]),
+    result = minimize(_rosenbrock, np.array([-1.2, 1.0]),
                       OptimizerOptions(max_iters=3))
     assert not result.converged
     assert result.iterations == 3
     assert result.stop_reason == "max_iters"
 
-    full = minimize(rosenbrock, np.array([-1.2, 1.0]),
+    full = minimize(_rosenbrock, np.array([-1.2, 1.0]),
                     OptimizerOptions(max_iters=500))
     assert full.converged
     assert np.max(np.abs(full.theta_star - 1.0)) <= 1e-5
@@ -158,3 +156,42 @@ def test_restart_only_improves():
 def test_wall_time_and_eval_counts_populated():
     result = minimize(_bowl(np.zeros(2)), np.array([3.0, -4.0]))
     assert result.gradient_evals >= result.iterations
+
+
+def _flipped_gradient(theta):
+    # the gradient points uphill, so no step along -grad lowers the loss
+    return float(theta @ theta), -2.0 * theta
+
+
+def _ansatz_objective():
+    rng = np.random.default_rng(1)
+    bundle = build(AnsatzConfig(3, 3))
+    target = rng.normal(size=8)
+    target /= np.linalg.norm(target)
+    model = OverlapModel(bundle.symbolic, invert_epilogue(bundle, target))
+    return model.loss_and_grad, np.zeros(bundle.num_params)
+
+
+@pytest.mark.parametrize("case, reason, converged", [
+    ("bowl_minimum", "grad_tolerance", True),
+    ("ansatz", "loss_tolerance", True),
+    ("rosenbrock_cap", "max_iters", False),
+    ("flipped_gradient", "line_search_failed", False),
+])
+def test_each_stop_reason_returns_the_loss_at_theta_star(case, reason, converged):
+    opts = OptimizerOptions()
+    if case == "bowl_minimum":
+        center = np.array([0.5, -1.0, 2.0])
+        objective, theta0 = _bowl(center), center.copy()
+    elif case == "ansatz":
+        objective, theta0 = _ansatz_objective()
+    elif case == "rosenbrock_cap":
+        objective, theta0 = _rosenbrock, np.array([-1.2, 1.0])
+        opts = OptimizerOptions(max_iters=3)
+    else:
+        objective, theta0 = _flipped_gradient, np.array([1.0, 2.0])
+    result = minimize(objective, theta0, opts)
+    assert result.stop_reason == reason
+    assert result.converged is converged
+    assert result.loss_star == objective(result.theta_star)[0]
+    assert result.loss_star <= objective(theta0)[0]
