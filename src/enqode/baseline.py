@@ -3,8 +3,11 @@
 The reference method prepares a real unit vector exactly. A disentangling
 tree of uniformly controlled Ry rotations fixes one qubit per stage (high
 bit first). Each multiplexor with m >= 1 controls is the Gray-code form
-(Mottonen et al., quant-ph/0407010): 2^m Ry, each followed by one CX. A
-dense n-qubit target thus gets 2^n - 1 Ry and 2^n - 2 CX (126 at n = 7).
+(Mottonen et al., quant-ph/0407010) written in the target's X frame:
+RX(-pi/2), then 2^m virtual RZ, each followed by one CX, then RX(pi/2).
+A dense n-qubit target thus gets one Ry (the m = 0 stage), 2^n - 2 RZ,
+2(n - 1) RX and 2^n - 2 CX (126 at n = 7); after lowering, each multiplexor
+costs four SX, not two per angle.
 Lowering rewrites every gate into {RZ, SX, X} plus one two-qubit kind with
 fixed rules and no merging or cancellation. Routing legalizes two-qubit
 gates onto a linear chain: when a gate's operands are not adjacent, the
@@ -98,19 +101,24 @@ def synthesize_exact(x) -> Circuit:
 
 def _multiplexed_ry(target: int, controls: list[int], angles: np.ndarray) -> list[Gate]:
     """Gray-code uniformly controlled Ry; bit j of the angle index is the
-    value of controls[j]. Ry i is followed by a CX from the control whose bit
-    flips between gray(i) and gray(i+1), so the CX cascade returns to the
-    identity. Exact-zero blocks emit nothing, uniform blocks one Ry."""
+    value of controls[j]. It is the uniformly controlled RZ in the target's
+    X frame: RX(-pi/2), then per Gray-order angle theta_i an RZ(-theta_i)
+    followed by a CX from the control whose bit flips between gray(i) and
+    gray(i+1), then RX(pi/2). Ry(t) = Rx(pi/2) Rz(-t) Rx(-pi/2) and Rx on the
+    target commutes with every CX into it, so this is the Ry cascade's
+    unitary, global phase included; the CX cascade returns to the identity.
+    Exact-zero blocks emit nothing, uniform blocks one Ry."""
     if not np.any(angles):
         return []
     order, flips = _gray_code(len(controls))
     theta = _walsh_hadamard(angles)[order]
     if not np.any(theta[1:]):
         return [Gate(GateKind.RY, (target,), angle=float(theta[0]))]
-    gates = []
+    gates = [Gate(GateKind.RX, (target,), angle=-_HALF_PI)]
     for angle, k in zip(theta.tolist(), flips):
-        gates.append(Gate(GateKind.RY, (target,), angle=angle))
+        gates.append(Gate(GateKind.RZ, (target,), angle=-angle))
         gates.append(fixed_gate(GateKind.CX, (controls[k], target)))
+    gates.append(Gate(GateKind.RX, (target,), angle=_HALF_PI))
     return gates
 
 

@@ -77,14 +77,18 @@ def test_synthesize_three_qubits_vs_oracle():
 
 
 def test_synthesize_dense_gate_counts_follow_the_gray_code():
-    # an m-control multiplexor takes 2^m CX (none for m = 0) and 2^m RY
+    # an m-control multiplexor takes 2^m CX and 2^m RZ between two RX; the
+    # m = 0 stage is one RY
     rng = np.random.default_rng(13)
     cx_counts = []
     for n in range(1, 8):
         kinds = [g.kind for g in synthesize_exact(_random_unit(rng, 1 << n)).gates]
         assert kinds.count(GateKind.CX) == sum(2**m for m in range(1, n))
-        assert kinds.count(GateKind.RY) == 2**n - 1
-        assert len(kinds) == kinds.count(GateKind.CX) + kinds.count(GateKind.RY)
+        assert kinds.count(GateKind.RZ) == 2**n - 2
+        assert kinds.count(GateKind.RX) == 2 * (n - 1)
+        assert kinds.count(GateKind.RY) == 1
+        assert len(kinds) == sum(kinds.count(k) for k in
+                                 (GateKind.CX, GateKind.RZ, GateKind.RX, GateKind.RY))
         cx_counts.append(kinds.count(GateKind.CX))
     assert cx_counts == [0, 2, 6, 14, 30, 62, 126]
 
@@ -100,7 +104,12 @@ def test_gray_multiplexor_matches_the_uniformly_controlled_ry(m):
     for gate in _multiplexed_ry(target, controls, angles):
         circuit.append(gate)
     kinds = [g.kind for g in circuit.gates]
-    assert kinds.count(GateKind.RY) == 1 << m
+    if m:
+        assert kinds.count(GateKind.RZ) == 1 << m
+        assert kinds.count(GateKind.RX) == 2
+        assert kinds.count(GateKind.RY) == 0
+    else:
+        assert kinds == [GateKind.RY]
     assert kinds.count(GateKind.CX) == (1 << m if m else 0)
     expected = oracles.uniformly_controlled_ry(target, controls, angles, n)
     assert np.max(np.abs(oracles.circuit_unitary(circuit, None) - expected)) <= 1e-10
@@ -346,7 +355,7 @@ def test_ansatz_routes_with_zero_swaps(two_qubit):
 
 
 @pytest.mark.parametrize(
-    "num_qubits, cx, swaps, depth", [(7, 396, 90, 424), (8, 815, 187, 848)]
+    "num_qubits, cx, swaps, depth", [(7, 396, 90, 306), (8, 815, 187, 604)]
 )
 def test_route_counts_of_a_seeded_dense_target_are_pinned(num_qubits, cx, swaps, depth):
     # a router regression shows here first; dense targets share one structure
@@ -359,6 +368,64 @@ def test_route_counts_of_a_seeded_dense_target_are_pinned(num_qubits, cx, swaps,
 
 
 # -- full pipeline -----------------------------------------------------------
+
+
+def test_dense_one_qubit_count_is_four_sx_per_multiplexor():
+    # the X frame costs each multiplexor two RX (four SX), whatever its
+    # angle count; the m = 0 stage is one RY (two SX)
+    rng = np.random.default_rng(47)
+    for num_qubits in range(1, 9):
+        counts = compile_exact(_random_unit(rng, 1 << num_qubits)).metrics
+        assert counts.one_qubit_physical == 2 + 4 * (num_qubits - 1)
+
+
+@st.composite
+def _structured_targets(draw):
+    """Real unit vectors at n = 1..6 that exercise every prune and sign path:
+    a dense signed head over the high qubits, a product tail over the low
+    ones (uniform angle blocks; small integers keep them exactly uniform), an
+    optional tiny perturbation (near-product, angle differences just above
+    zero), qubits pinned to |0> and aligned blocks zeroed (exact-zero angle
+    blocks)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    tail = draw(st.integers(min_value=0, max_value=n))
+    integral = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = 1 << (n - tail)
+    x = rng.choice([-1.0, 1.0], size=size) if integral else rng.normal(size=size)
+    for _ in range(tail):
+        if integral:
+            factor = rng.integers(-2, 3, size=2)
+        else:
+            half = rng.uniform(-np.pi / 2, np.pi / 2)
+            factor = [np.cos(half), np.sin(half)]
+        x = np.kron(x, factor)
+    x = x + draw(st.sampled_from([0.0, 1e-9, 1e-5])) * rng.normal(size=x.size)
+    index = np.arange(x.size)
+    for q in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n)):
+        x[(index >> q) & 1 == 1] = 0.0
+    width = 1 << draw(st.integers(min_value=0, max_value=n - 1))
+    blocks = x.reshape(-1, width)
+    blocks[rng.random(blocks.shape[0]) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if not np.any(x):
+        x[int(rng.integers(x.size))] = -1.0
+    return x / np.linalg.norm(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_structured_targets())
+def test_compile_chain_invariants_on_structured_targets(x):
+    state = oracles.simulate(synthesize_exact(x), None)
+    assert np.max(np.abs(state - x)) <= 1e-8  # the logical circuit keeps the phase
+    for two_qubit in (GateKind.CX, GateKind.ECR):
+        result = compile_exact(x, two_qubit)
+        physical = result.physical_circuit
+        # lowering's ZXZXZ rule leaves one global phase; every amplitude is checked
+        _states_match_phase(oracles.reference_state(physical), permute_state(x, result.layout), 1e-8)
+        assert lower_to_basis(physical, two_qubit).gates == physical.gates
+        for gate in physical.gates:
+            if len(gate.qubits) == 2:
+                assert abs(gate.qubits[0] - gate.qubits[1]) == 1
 
 
 @settings(max_examples=40, deadline=None)
