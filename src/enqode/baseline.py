@@ -1,26 +1,25 @@
-"""Exact amplitude embedding: multiplexed-Ry synthesis, basis lowering, routing.
+"""Exact amplitude embedding: multiplexed-Ry synthesis on the chain, basis lowering.
 
 The reference method prepares a real unit vector exactly. A disentangling
 tree of uniformly controlled Ry rotations fixes one qubit per stage (high
-bit first). Each multiplexor with m >= 1 controls is the Gray-code form
-(Mottonen et al., quant-ph/0407010) written in the target's X frame:
-RX(-pi/2), then 2^m virtual RZ, each followed by one CX, then RX(pi/2).
-A dense n-qubit target thus gets one Ry (the m = 0 stage), 2^n - 2 RZ,
-2(n - 1) RX and 2^n - 2 CX (126 at n = 7); after lowering, each multiplexor
-costs four SX, not two per angle.
+bit first). Each multiplexor with m >= 1 controls is the uniformly
+controlled RZ (Mottonen et al., quant-ph/0407010) in the target's X frame:
+RX(-pi/2), a CX+RZ phase polynomial (Amy, Azimzadeh & Mosca,
+arXiv:1712.01859), RX(pi/2). The polynomial is a closed walk of the
+target's content along the chain [target, *controls], so every CX acts on
+neighbouring wires, every wire is restored and no routing is needed.
+A dense n-qubit target gets one Ry, 2^n - 2 RZ, 2(n - 1) RX and
+2, 10, 26, 58, 126, 266, ... CX (n = 2, 3, ...).
 Lowering rewrites every gate into {RZ, SX, X} plus one two-qubit kind with
-fixed rules and no merging or cancellation. Routing legalizes two-qubit
-gates onto a linear chain: when a gate's operands are not adjacent, the
-operand whose walk leaves fewer SWAPs for the next eight two-qubit gates
-walks to the other, one inserted SWAP per step (the first operand on a
-tie). The final layout is returned, not restored.
+fixed rules and no merging or cancellation. `route_linear` legalizes other
+circuits by walking the first operand of a distant gate toward the second,
+one SWAP per step; synthesized circuits pass through it unchanged.
 
 Multiplexors whose angle block is exactly zero are skipped: the skipped
-subcircuit composes to the identity (the Gray cycle flips every control
-an even number of times, all with a common target), so pruning stays
-exact. A block of equal angles is one Ry. This is what makes gate counts
-data-dependent: sparse targets produce shorter circuits, dense targets
-the full tree.
+subcircuit composes to the identity (its RZ angles are zero and the walk
+restores every wire), so pruning stays exact. A block of equal angles is
+one Ry. This is what makes gate counts data-dependent: sparse targets
+produce shorter circuits, dense targets the full tree.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ __all__ = [
 ]
 
 _HALF_PI = np.pi / 2
-_LOOKAHEAD = 8  # two-qubit gates the router scores a walk over
+# open walks over 1-3 controls, from the shortest closed walks for m = 3, 4
+_OPEN_WALKS = {1: "T1", 2: "R1 T2 L1", 3: "R1 T2 T1 R2 T3 L2 T1 T2 L1"}
 
 
 @dataclass(frozen=True)
@@ -100,33 +100,52 @@ def synthesize_exact(x) -> Circuit:
 
 
 def _multiplexed_ry(target: int, controls: list[int], angles: np.ndarray) -> list[Gate]:
-    """Gray-code uniformly controlled Ry; bit j of the angle index is the
-    value of controls[j]. It is the uniformly controlled RZ in the target's
-    X frame: RX(-pi/2), then per Gray-order angle theta_i an RZ(-theta_i)
-    followed by a CX from the control whose bit flips between gray(i) and
-    gray(i+1), then RX(pi/2). Ry(t) = Rx(pi/2) Rz(-t) Rx(-pi/2) and Rx on the
-    target commutes with every CX into it, so this is the Ry cascade's
-    unitary, global phase included; the CX cascade returns to the identity.
-    Exact-zero blocks emit nothing, uniform blocks one Ry."""
+    """Uniformly controlled Ry on the chain [target, *controls]; bit j of
+    the angle index is the value of controls[j]. Between RX(-pi/2) and
+    RX(pi/2) on the target, RZ(-theta_c) lands on the wire holding
+    target ^ parity c. Ry(t) = Rx(pi/2) Rz(-t) Rx(-pi/2) and Rx on the target
+    commutes with every CX into it, so this is the Ry cascade's unitary,
+    global phase included.
+
+    The target's content, the walker, follows `_walk(m)`; `here` counts the
+    controls it has passed, so control b sits at line[b - 1] once passed and
+    at line[b] before. T b is CX(control b -> walker); R b and L b are
+    CX(walker -> neighbour), CX(neighbour -> walker), carrying the walker
+    past control b. Each step XORs bit b into the parity, and a parity's
+    first visit emits its RZ. Exact-zero blocks emit nothing, uniform
+    blocks one Ry."""
     if not np.any(angles):
         return []
-    order, flips = _gray_code(len(controls))
-    theta = _walsh_hadamard(angles)[order]
+    theta = _walsh_hadamard(angles)
     if not np.any(theta[1:]):
         return [Gate(GateKind.RY, (target,), angle=float(theta[0]))]
-    gates = [Gate(GateKind.RX, (target,), angle=-_HALF_PI)]
-    for angle, k in zip(theta.tolist(), flips):
-        gates.append(Gate(GateKind.RZ, (target,), angle=-angle))
-        gates.append(fixed_gate(GateKind.CX, (controls[k], target)))
+    theta = theta.tolist()
+    line = [target, *controls]
+    gates = [Gate(GateKind.RX, (target,), angle=-_HALF_PI),
+             Gate(GateKind.RZ, (target,), angle=-theta[0])]
+    seen = [True] + [False] * (len(theta) - 1)
+    here = parity = 0
+    for step, b in _walk(len(controls)):
+        walker = line[here]
+        if step == "T":
+            gates.append(fixed_gate(GateKind.CX, (line[b - 1] if b <= here else line[b], walker)))
+        else:
+            here += 1 if step == "R" else -1
+            gates.append(fixed_gate(GateKind.CX, (walker, line[here])))
+            gates.append(fixed_gate(GateKind.CX, (line[here], walker)))
+        parity ^= 1 << (b - 1)
+        if not seen[parity]:
+            seen[parity] = True
+            gates.append(Gate(GateKind.RZ, (line[here],), angle=-theta[parity]))
     gates.append(Gate(GateKind.RX, (target,), angle=_HALF_PI))
     return gates
 
 
 def _walsh_hadamard(angles: np.ndarray) -> np.ndarray:
     """H angles / 2^m with H_cj = (-1)^popcount(c & j), as a butterfly that
-    halves each sum and difference. Read at gray(i), this is theta = M^T
-    angles / 2^m with M_ci = (-1)^popcount(c & gray(i)). Equal angles give
-    exactly zero differences."""
+    halves each sum and difference: entry c is the RZ angle of parity c in
+    the multiplexor's phase polynomial. Equal angles give exactly zero
+    differences."""
     out = np.array(angles, dtype=float)
     half = 1
     while half < out.size:
@@ -137,15 +156,28 @@ def _walsh_hadamard(angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shifted_open_walk(k: int) -> tuple[tuple[str, int], ...]:
+    """Open walk over controls 2..k+1 from wire 1, visiting every nonzero
+    parity of them and ending on wire 1; for k >= 4 it is R1, open(k - 1),
+    T1, open(k - 1), L1, shifted up one control."""
+    if k <= 3:
+        steps = tuple((s[0], int(s[1:])) for s in _OPEN_WALKS[k].split())
+    else:
+        inner = _shifted_open_walk(k - 1)
+        steps = (("R", 1), *inner, ("T", 1), *inner, ("L", 1))
+    return tuple((step, b + 1) for step, b in steps)
+
+
 @lru_cache(maxsize=None)
-def _gray_code(m: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """gray(i) = i ^ (i >> 1) for i < 2^m as a read-only index array, and
-    the bit that flips from gray(i) to gray((i + 1) mod 2^m) for each i."""
-    index = np.arange(1 << m)
-    order = index ^ (index >> 1)
-    order.flags.writeable = False
-    flips = tuple((i & -i).bit_length() - 1 for i in range(1, 1 << m)) + (m - 1,)
-    return order, flips
+def _walk(m: int) -> tuple[tuple[str, int], ...]:
+    """Closed walk over m controls as (step, control) pairs: it visits all
+    2^m parities between neighbouring wires and restores every wire. The two
+    open walks cover the parities with and without bit 1. CX for m = 1..9:
+    2, 8, 16, 32, 68, 140, 284, 572, 1148."""
+    if m == 1:
+        return (("T", 1), ("T", 1))
+    inner = _shifted_open_walk(m - 1)
+    return (("R", 1), *inner, ("T", 1), *inner, ("L", 1), ("T", 1))
 
 
 def _lower_rotation(out: Circuit, kind: GateKind, qubit: int, angle: float) -> None:
@@ -216,31 +248,26 @@ def lower_to_basis(circuit: Circuit, two_qubit: GateKind = GateKind.CX) -> Circu
 def route_linear(circuit: Circuit) -> RoutedCircuit:
     """Make every two-qubit gate act on adjacent chain positions.
 
-    When a gate's operands are not adjacent, one of them walks one position
-    at a time toward the other, each step an inserted SWAP of neighboring
-    physical wires. Either walk costs the same SWAPs for this gate; the one
-    whose layout leaves fewer SWAPs for the next `_LOOKAHEAD` two-qubit
-    gates (summed distances, nothing routed in between) walks, and on a tie
-    the first operand does. The final logical-to-physical map is returned so callers
-    can undo the accumulated permutation on simulated states. A gate whose
-    wires equal its qubits is passed through as it is. Inserted SWAPs are
-    IR-level and still need one lowering pass.
+    When a gate's operands are not adjacent, its first operand walks one
+    position at a time toward the second, each step an inserted SWAP of
+    neighbouring physical wires. The final logical-to-physical map is
+    returned so callers can undo the accumulated permutation on simulated
+    states. A gate whose wires equal its qubits is passed through as it is,
+    so a chain-legal circuit comes back unchanged with the identity layout.
+    Inserted SWAPs are IR-level and still need one lowering pass.
     """
     position = list(range(circuit.num_qubits))  # position[logical] = physical wire
-    pairs = [gate.qubits for gate in circuit.gates if len(gate.qubits) == 2]
-    upcoming = 0  # index in `pairs` of the next two-qubit gate
     out = Circuit(circuit.num_qubits)
     for gate in circuit.gates:
         qubits = gate.qubits
         if len(qubits) == 2:
-            upcoming += 1
             a, b = qubits
-            if abs(position[a] - position[b]) > 1:
-                ahead = pairs[upcoming:upcoming + _LOOKAHEAD]
-                walker = a
-                if _walk_cost(position, b, a, ahead) < _walk_cost(position, a, b, ahead):
-                    walker = b
-                _walk(out, position, walker, a + b - walker)
+            step = 1 if position[b] > position[a] else -1
+            while abs(position[a] - position[b]) > 1:
+                here, there = position[a], position[a] + step
+                neighbor = position.index(there)
+                out.swap(here, there)
+                position[a], position[neighbor] = there, here
             wires = (position[a], position[b])
         else:
             wires = (position[qubits[0]],)
@@ -250,39 +277,6 @@ def route_linear(circuit: Circuit) -> RoutedCircuit:
         out.append(gate)
     out.num_params = circuit.num_params
     return RoutedCircuit(circuit=out, layout=tuple(position))
-
-
-def _walk_cost(position: list[int], walker: int, other: int, ahead: list[tuple[int, ...]]) -> int:
-    """SWAPs the pairs in `ahead` would need, each alone, once `walker` has
-    walked next to `other`. The walk moves the walker from `src` to `dst`
-    and shifts every wire in between one step back toward `src`."""
-    src, stop = position[walker], position[other]
-    step = 1 if stop > src else -1
-    dst = stop - step
-    low, high = (src, dst) if step > 0 else (dst, src)
-    cost = 0
-    for p, q in ahead:
-        wp, wq = position[p], position[q]
-        if wp == src:
-            wp = dst
-        elif low <= wp <= high:
-            wp -= step
-        if wq == src:
-            wq = dst
-        elif low <= wq <= high:
-            wq -= step
-        cost += abs(wp - wq) - 1
-    return cost
-
-
-def _walk(out: Circuit, position: list[int], walker: int, other: int) -> None:
-    """Walk `walker` next to `other`, one SWAP of neighboring wires a step."""
-    step = 1 if position[other] > position[walker] else -1
-    while abs(position[walker] - position[other]) > 1:
-        here, there = position[walker], position[walker] + step
-        neighbor = position.index(there)
-        out.swap(here, there)
-        position[walker], position[neighbor] = there, here
 
 
 def permute_state(state: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
@@ -302,9 +296,10 @@ def permute_state(state: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
 
 
 def compile_exact(x, two_qubit: GateKind = GateKind.CX) -> SynthesisOutput:
-    """Full reference pipeline: synthesize, lower, route, lower inserted SWAPs."""
+    """Full reference pipeline: synthesize on the chain, route (a pass-through
+    that keeps the identity layout), lower."""
     start = time.perf_counter()
-    routed = route_linear(lower_to_basis(synthesize_exact(x), two_qubit))
+    routed = route_linear(synthesize_exact(x))
     physical = lower_to_basis(routed.circuit, two_qubit)
     elapsed = time.perf_counter() - start
     return SynthesisOutput(
