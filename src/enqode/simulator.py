@@ -1,32 +1,30 @@
 """Dense statevector and density-matrix simulation with depolarizing noise.
 
-Both simulators share one kernel, `_apply`: the state is viewed as a tensor
-of 2s, the axes a gate touches are moved to the front by a cached
-permutation, and one matrix product applies the operator. The result stays
-in memory in the order the product left it (the gate's axes first, the
-other axes in their previous memory order) and is returned as a transposed
-view in the logical axis order. The next pass reads that memory order from
-the view's strides and again moves only its own axes, so each pass makes
-one copy, of long contiguous runs; a simulator flattens its state once, at
-the end, which puts the axes back in order. Qubit q is bit q of the basis
-index, so it is tensor axis n-1-q of a statevector.
-
 The statevector simulator applies X and CX as a cached index gather (they
-permute basis states) and every other gate unitary at rank n. The noisy
-simulator never holds rho itself while it runs. It evolves the Pauli
-coordinates c_P = tr(P rho), one per Pauli string P, so that
+permute basis states) and every other gate unitary at rank n through
+`_apply`: the state is viewed as a tensor of 2s, the axes a gate touches
+are moved to the front by a cached permutation, and one matrix product
+applies the operator. The result stays in memory in the order the product
+left it (the gate's axes first, the other axes in their previous memory
+order) and is returned as a transposed view in the logical axis order. The
+next pass reads that memory order from the view's strides and again moves
+only its own axes, so each pass makes one copy, of long contiguous runs;
+the simulator flattens its state once, at the end, which puts the axes
+back in order. Qubit q is bit q of the basis index, so it is tensor axis
+n-1-q of a statevector.
+
+The noisy simulator never holds rho itself while it runs. It evolves the
+Pauli coordinates c_P = tr(P rho), one per Pauli string P, so that
 rho = sum_P c_P P / 2^n. Qubit q is base-4 digit q of the coordinate index
-(0, 1, 2, 3 = I, X, Y, Z), which `_apply` sees as the two tensor axes
-2(n-1-q) and 2(n-1-q)+1 of a rank-2n tensor. |0...0><0...0| has
-coordinates (1, 0, 0, 1) on every qubit. A gate U followed by its
-depolarizing channel maps coordinates linearly through its Pauli transfer
-matrix (PTM), diag(1, 1-p, ..., 1-p) R_U with (R_U)_ij = tr(P_i U P_j U^dag)/d.
-Every channel here maps Hermitian matrices to Hermitian matrices, so the
-coordinates and every PTM are real: a pass is a real GEMM on half the bytes
-of a complex rho. RZ is a noiseless virtual frame change; its PTM is the
-identity with the qubit's X and Y coordinates rotated by the angle
-(`_rz_ptm`), and RZ(0) is skipped. rho is built from the coordinates once,
-at the end.
+(0, 1, 2, 3 = I, X, Y, Z). |0...0><0...0| has coordinates (1, 0, 0, 1) on
+every qubit. A gate U followed by its depolarizing channel maps
+coordinates linearly through its Pauli transfer matrix (PTM),
+diag(1, 1-p, ..., 1-p) R_U with (R_U)_ij = tr(P_i U P_j U^dag)/d. Every
+channel here maps Hermitian matrices to Hermitian matrices, so the
+coordinates and every PTM are real. RZ is a noiseless virtual frame
+change; its PTM is the identity with the qubit's X and Y coordinates
+rotated by the angle (`_rz_ptm`), and RZ(0) is skipped. rho is built from
+the coordinates once, at the end.
 
 PTMs are composed before they touch the coordinates, by one rule per arity.
 Every one-qubit gate, RZ included, composes into its qubit's pending 4x4
@@ -34,13 +32,23 @@ PTM (the one-qubit gates on it not yet applied), whether or not the qubit
 sits in an open block. A two-qubit gate works on a 16x16 block on its qubit
 pair, indexed 4*p_a + p_b: if its qubits lie in one open block it extends
 that block, in either orientation of the pair; otherwise it flushes the open
-blocks on its qubits (one `_apply` pass each) and opens a new one. Either
-way the block becomes PTM(gate) @ (p_a (x) p_b) @ block, taking in the
-pending PTMs of the pair, which act after the block. A flush applies the
-block alone, so pending PTMs stay until the next block on their qubit or
-the per-qubit conversion back to rho. Routed circuits repeat pairs (a SWAP
-is three CX on one pair, and one-qubit gates bracket each CX), so most gates
-cost a 4x4 or 16x16 product instead of a pass.
+blocks on its qubits (one pass each) and opens a new one. Either way the
+block becomes PTM(gate) @ (p_a (x) p_b) @ block, taking in the pending PTMs
+of the pair, which act after the block. A flush applies the block alone, so
+pending PTMs stay until the next block on their qubit or the per-qubit
+conversion back to rho. The chain-walk multiplexors put runs of gates on one
+pair, so most gates cost a 4x4 or 16x16 product instead of a pass.
+
+These rules read only the circuit's structure (gate kinds, qubits and which
+RZ carries a slot), so `_plan` runs them once per structure and noise model
+and keeps the result in a small LRU cache: the pass sequence and, for each
+pass, the factors of its block in product order. Per call only the angles
+bind. Every RZ PTM comes from one vectorised cos/sin, each block is
+composed just before its pass, in the order the rules give, and the pass
+(`_pass`) runs on coordinates kept contiguous in logical order: the pair
+(hi, lo) is the (4^(n-1-hi), 4, 4^(hi-lo-1), 4, 4^lo) view, so a pass on
+chain neighbours is one matrix product with no copy, and only a pass on
+qubits further apart moves its two axes out and back.
 
 This is exact, not an approximation: a composition of channels is a
 channel whose PTM is the product of theirs, and operations on disjoint
@@ -53,7 +61,6 @@ the intended working size is 8.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -238,14 +245,17 @@ class DensityMatrix:
         self.validate()
 
     def validate(self) -> None:
-        """Shape, unit trace and Hermiticity. Positivity is not checked here:
-        an eigensolve costs O(8^n) per result, so the tests assert it instead."""
+        """Shape, unit trace and Hermiticity; a non-finite entry fails one of
+        them, as the checks are written so that NaN does not pass. Positivity
+        is not checked here: an eigensolve costs O(8^n) per result, so the
+        tests assert it instead."""
         d = 1 << self.num_qubits
         if self.data.shape != (d, d):
             raise ValueError("density matrix shape mismatch")
-        if abs(np.trace(self.data) - 1.0) > 1e-10:
-            raise ValueError(f"trace is {np.trace(self.data)}, expected 1")
-        if np.max(np.abs(self.data - self.data.conj().T)) > 1e-12:
+        trace = np.trace(self.data)
+        if not abs(trace - 1.0) <= 1e-10:
+            raise ValueError(f"trace is {trace}, expected 1")
+        if not np.max(np.abs(self.data - self.data.conj().T)) <= 1e-12:
             raise ValueError("density matrix is not Hermitian")
 
 
@@ -253,12 +263,18 @@ _PHYSICAL_BASIS = frozenset({GateKind.RZ, GateKind.SX, GateKind.X, GateKind.CX, 
 _I4 = np.eye(4)
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _PAIR_PAULIS = np.einsum("iab,jcd->ijacbd", _PAULIS, _PAULIS).reshape(16, 4, 4)
-# Coordinates (I, X, Y, Z) of one qubit in |0><0|, and rho's entries on one
-# qubit, 2*row + col, as a map from its coordinates.
-_ZERO_COORDS = np.array([1.0, 0.0, 0.0, 1.0])
+# rho's entries on one qubit, 2*row + col, as a map from its coordinates
+# (I, X, Y, Z).
 _TO_DENSITY = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
-# Block index 4*p_a + p_b on the pair (a, b) for index 4*p_b + p_a on (b, a).
+# Block index 4*p_a + p_b on the pair (a, b) for index 4*p_b + p_a on (b, a),
+# as a flat index into a whole 16x16 block.
 _SWAPPED = np.array([4 * (i % 4) + i // 4 for i in range(16)])
+_SWAPPED_BLOCK = (16 * _SWAPPED[:, None] + _SWAPPED).reshape(-1)
+
+
+def _swap_pair(block: np.ndarray) -> np.ndarray:
+    """A 16x16 block on the pair (a, b) reindexed for the pair (b, a)."""
+    return block.take(_SWAPPED_BLOCK).reshape(16, 16)
 
 
 def _ptm(u: np.ndarray, p: float) -> np.ndarray:
@@ -273,12 +289,15 @@ def _ptm(u: np.ndarray, p: float) -> np.ndarray:
     return ptm
 
 
-def _rz_ptm(angle: float) -> np.ndarray:
-    """PTM of RZ(angle): the identity with the X and Y coordinates rotated by angle."""
-    c, s = math.cos(angle), math.sin(angle)
-    r = _I4.copy()
-    r[1, 1] = r[2, 2] = c
-    r[1, 2], r[2, 1] = -s, s
+def _rz_ptm(angle: float | np.ndarray) -> np.ndarray:
+    """PTM of RZ(angle), or a stack of them for an array of angles: the
+    identity with the X and Y coordinates rotated by the angle."""
+    c, s = np.cos(angle), np.sin(angle)
+    r = np.zeros(np.shape(angle) + (4, 4))
+    r[..., 0, 0] = r[..., 3, 3] = 1.0
+    r[..., 1, 1] = r[..., 2, 2] = c
+    r[..., 1, 2] = -s
+    r[..., 2, 1] = s
     return r
 
 
@@ -298,63 +317,88 @@ def _to_density(coords: np.ndarray, n: int, pending: dict[int, np.ndarray]) -> n
     return t.reshape((2,) * 2 * n).transpose(order).reshape(1 << n, 1 << n)
 
 
-def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel) -> DensityMatrix:
-    """Density-matrix evolution with a depolarizing channel after each
-    physical gate (p1 on one-qubit support, p2 on two-qubit support) and
-    none after RZ; gates are composed per qubit and per qubit pair before
-    they are applied to the Pauli coordinates (see the module notes)."""
-    n = circuit.num_qubits
-    if n > _MAX_DENSITY_QUBITS:
-        raise ValueError(f"density simulation capped at {_MAX_DENSITY_QUBITS} qubits")
-    for gate in circuit.gates:
-        if gate.kind not in _PHYSICAL_BASIS:
-            raise ValueError(f"{gate.kind.value} is not basis-lowered; lower the circuit first")
-    if circuit.num_params > 0 and theta is None:
-        raise ValueError("circuit has parameter slots; theta is required")
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float)
+# A factor is an index into the per-call list of PTMs: one RZ PTM per RZ
+# gate (fixed angles first, then slots, each in gate order), then the plan's
+# angle-free PTMs. A step is (gate factor, pending factors of pair[0],
+# pending factors of pair[1]), as the fusion rules met them.
+_Step = tuple[int, tuple[int, ...], tuple[int, ...]]
 
-    fixed: dict[tuple, np.ndarray] = {}  # angle-free PTMs by (kind, swapped); never mutated
 
-    def ptm(gate: Gate, swapped: bool = False) -> np.ndarray:
-        """The gate's PTM in its own basis, or with `swapped` a two-qubit
-        gate's in the block order of its reversed pair."""
-        r = fixed.get((gate.kind, swapped))
-        if r is None:
+@dataclass(frozen=True)
+class _Pass:
+    """One block applied to the coordinates. `shape` is (A, M, B) of the
+    (A, 4, M, 4, B) view around the pair's digits, and `swapped` says the
+    pair was opened low qubit first, so the block is reindexed to (hi, lo)."""
+
+    steps: tuple[_Step, ...]
+    shape: tuple[int, int, int]
+    swapped: bool
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The fusion rules' result for one circuit structure and noise model."""
+
+    angle_gates: tuple[int, ...]  # gate index of each fixed-angle RZ
+    slots: np.ndarray  # slot of each parameterized RZ
+    fixed: tuple[np.ndarray, ...]  # angle-free PTMs, read-only
+    passes: tuple[_Pass, ...]
+    pending: tuple[tuple[int, tuple[int, ...]], ...]  # (qubit, factors) left at the end
+
+
+_PLAN_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(structure: tuple, n: int, p1: float, p2: float) -> _Plan:
+    """Run the fusion rules on (kind, qubits, slot) per gate, recording the
+    factors of every block and pending PTM instead of multiplying them."""
+    rz_fixed = sum(1 for kind, _, slot in structure if kind is GateKind.RZ and slot is None)
+    rz_total = sum(1 for kind, _, _ in structure if kind is GateKind.RZ)
+    angle_gates: list[int] = []
+    slots: list[int] = []
+    fixed: list[np.ndarray] = []
+    fixed_ids: dict[tuple, int] = {}
+
+    def fixed_id(kind: GateKind, swapped: bool = False) -> int:
+        """Factor of an angle-free PTM in its own basis, or with `swapped` a
+        two-qubit one's in the block order of its reversed pair."""
+        key = (kind, swapped)
+        if key not in fixed_ids:
             if swapped:
-                r = ptm(gate)[np.ix_(_SWAPPED, _SWAPPED)]
+                r = _swap_pair(fixed[fixed_id(kind) - rz_total])
             else:
-                p = noise.p2 if gate.kind in TWO_QUBIT_KINDS else noise.p1
-                r = _ptm(gate_matrix(gate), p)
-            fixed[(gate.kind, swapped)] = r
-        return r
+                r = _ptm(_FIXED[kind], p2 if kind in TWO_QUBIT_KINDS else p1)
+            r.flags.writeable = False  # shared by every call through this plan
+            fixed_ids[key] = rz_total + len(fixed)
+            fixed.append(r)
+        return fixed_ids[key]
 
-    coords = np.ones(1)
-    for _ in range(n):
-        coords = np.kron(coords, _ZERO_COORDS)
-    pending: dict[int, np.ndarray] = {}  # qubit -> its unapplied 4x4 PTM
-    blocks: dict[tuple[int, int], np.ndarray] = {}  # open pair -> 16x16 PTM
+    pending: dict[int, list[int]] = {}  # qubit -> factors of its unapplied 4x4
+    steps: dict[tuple[int, int], list[_Step]] = {}  # open pair -> its block's steps
     open_pair: dict[int, tuple[int, int]] = {}  # qubit -> the open pair holding it
+    passes: list[_Pass] = []
 
     def flush(pair: tuple[int, int]) -> None:
-        nonlocal coords
-        axes = tuple(a for q in pair for a in (2 * (n - 1 - q), 2 * (n - 1 - q) + 1))
-        coords = _apply(coords, blocks.pop(pair), axes, 2 * n)
+        hi, lo = max(pair), min(pair)
+        shape = (4 ** (n - 1 - hi), 4 ** (hi - lo - 1), 4 ** lo)
+        passes.append(_Pass(tuple(steps.pop(pair)), shape, pair[0] == lo))
         for q in pair:
             del open_pair[q]
 
-    for gate in circuit.gates:
-        qubits = gate.qubits
+    for i, (kind, qubits, slot) in enumerate(structure):
+        if kind not in _PHYSICAL_BASIS:
+            raise ValueError(f"{kind.value} is not basis-lowered; lower the circuit first")
         if len(qubits) == 1:
-            q = qubits[0]
-            if gate.is_virtual:
-                angle = _angle(gate, theta)
-                if angle == 0.0:  # the identity; every lowered RY emits one
-                    continue
-                r = _rz_ptm(angle)
+            if kind is not GateKind.RZ:
+                factor = fixed_id(kind)
+            elif slot is None:
+                factor = len(angle_gates)
+                angle_gates.append(i)
             else:
-                r = ptm(gate)
-            pending[q] = r @ pending[q] if q in pending else r
+                factor = rz_fixed + len(slots)
+                slots.append(slot)
+            pending.setdefault(qubits[0], []).append(factor)
             continue
         pair = open_pair.get(qubits[0])
         if pair is None or pair != open_pair.get(qubits[1]):
@@ -364,12 +408,95 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
             pair = qubits
             for q in pair:
                 open_pair[q] = pair
-        block = ptm(gate, pair != qubits)
-        if pair[0] in pending or pair[1] in pending:
-            block = block @ _kron4(pending.pop(pair[0], _I4), pending.pop(pair[1], _I4))
-        blocks[pair] = block @ blocks[pair] if pair in blocks else block
-    for pair in list(blocks):
+            steps[pair] = []
+        steps[pair].append((fixed_id(kind, pair != qubits),
+                            tuple(pending.pop(pair[0], ())), tuple(pending.pop(pair[1], ()))))
+    for pair in list(steps):
         flush(pair)
+    slots_array = np.array(slots, dtype=np.intp)
+    slots_array.flags.writeable = False
+    return _Plan(tuple(angle_gates), slots_array, tuple(fixed), tuple(passes),
+                 tuple((q, tuple(f)) for q, f in pending.items()))
+
+
+def _zero_coords(n: int) -> np.ndarray:
+    """Coordinates of |0...0><0...0|: 1 where every digit is I or Z, else 0."""
+    support = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        support = (4 * support[:, None] + [0, 3]).reshape(-1)
+    coords = np.zeros(4 ** n)
+    coords[support] = 1.0
+    return coords
+
+
+def _compose(factors: tuple[int, ...], mats: list) -> np.ndarray | None:
+    """Product of the factors, the first acting first; a skipped RZ(0) is
+    None in `mats`. None if every factor is skipped."""
+    acc = None
+    for f in factors:
+        m = mats[f]
+        if m is not None:
+            acc = m if acc is None else m @ acc
+    return acc
+
+
+def _pass(coords: np.ndarray, block: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """A 16x16 block applied to the two base-4 digits of contiguous
+    coordinates viewed as (A, 4, M, 4, B), block index 4*hi + lo. Chain
+    neighbours (M = 1) are one product on a view; others copy their two
+    digits to the front and back."""
+    a, m, b = shape
+    if m == 1:
+        if b == 1:
+            return coords.reshape(a, 16) @ block.T
+        if a == 1:
+            return block @ coords.reshape(16, b)
+        return np.matmul(block, coords.reshape(a, 16, b))
+    moved = coords.reshape(a, 4, m, 4, b).transpose(1, 3, 0, 2, 4).reshape(16, -1)
+    return (block @ moved).reshape(4, 4, a, m, b).transpose(2, 0, 3, 1, 4).copy()
+
+
+def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel) -> DensityMatrix:
+    """Density-matrix evolution with a depolarizing channel after each
+    physical gate (p1 on one-qubit support, p2 on two-qubit support) and
+    none after RZ; gates are composed per qubit and per qubit pair, by a
+    plan cached per circuit structure, before they are applied to the
+    Pauli coordinates (see the module notes)."""
+    n = circuit.num_qubits
+    if n > _MAX_DENSITY_QUBITS:
+        raise ValueError(f"density simulation capped at {_MAX_DENSITY_QUBITS} qubits")
+    gates = circuit.gates
+    plan = _plan(tuple([(g.kind, g.qubits, g.slot) for g in gates]), n, noise.p1, noise.p2)
+    if circuit.num_params > 0:
+        if theta is None:
+            raise ValueError("circuit has parameter slots; theta is required")
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (circuit.num_params,):
+            raise ValueError(f"expected {circuit.num_params} parameters")
+
+    angles = np.array([gates[i].angle for i in plan.angle_gates], dtype=float)
+    if plan.slots.size:
+        angles = np.concatenate((angles, theta[plan.slots]))
+    mats = [None if a == 0.0 else r for a, r in zip(angles.tolist(), _rz_ptm(angles))]
+    mats += plan.fixed
+
+    coords = _zero_coords(n)
+    for pass_ in plan.passes:
+        block = None
+        for gate, on_a, on_b in pass_.steps:
+            r = mats[gate]
+            pa, pb = _compose(on_a, mats), _compose(on_b, mats)
+            if pa is not None or pb is not None:
+                r = r @ _kron4(_I4 if pa is None else pa, _I4 if pb is None else pb)
+            block = r if block is None else r @ block
+        if pass_.swapped:
+            block = _swap_pair(block)
+        coords = _pass(coords, block, pass_.shape)
+    pending = {}
+    for q, factors in plan.pending:
+        r = _compose(factors, mats)
+        if r is not None:
+            pending[q] = r
     return DensityMatrix(n, _to_density(coords, n, pending))
 
 

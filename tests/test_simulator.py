@@ -1,10 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from enqode import simulator
-from enqode.ansatz import AnsatzConfig, build
+from enqode.ansatz import AnsatzConfig, ansatz_physical, build
 from enqode.baseline import compile_exact
 from enqode.circuit import Circuit, Gate, GateKind
 from enqode.simulator import (
@@ -178,6 +181,30 @@ def test_density_matrix_validation():
         DensityMatrix(1, skew)  # not Hermitian
 
 
+def test_density_matrix_rejects_non_finite_entries():
+    nan, inf = np.nan, np.inf
+    for data in (np.full((2, 2), nan), [[0.5, nan], [nan, 0.5]], [[0.5, inf], [inf, 0.5]],
+                 [[inf, 0.0], [0.0, -inf]], [[nan, 0.0], [0.0, 1.0]]):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            DensityMatrix(1, np.array(data, dtype=complex))
+
+
+def test_noisy_rejects_a_theta_of_the_wrong_shape():
+    circuit = Circuit(2).sx(0).rz(0, slot=0).cx(0, 1).rz(1, slot=1)
+    for theta in (np.zeros(7), np.zeros(1), np.zeros((2, 1)), np.zeros((1, 2)), [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            simulate_noisy(circuit, theta, NoiseModel())
+    with pytest.raises(ValueError, match="theta is required"):
+        simulate_noisy(circuit, None, NoiseModel())
+
+
+def test_noisy_rejects_a_non_finite_theta():
+    circuit = Circuit(2).sx(0).rz(0, slot=0).cx(0, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            simulate_noisy(circuit, np.array([bad]), NoiseModel())
+
+
 # ------------------------------------ equivalence with the reference paths
 
 
@@ -331,16 +358,16 @@ def test_noisy_fuses_gates_on_one_pair_into_fewer_passes(monkeypatch):
     x = rng.normal(size=32)
     circuit = compile_exact(x / np.linalg.norm(x), GateKind.CX).physical_circuit
     passes = []
-    real = simulator._apply
+    real = simulator._pass
 
-    def counted(*args):
-        passes.append(args[3])
-        return real(*args)
+    def counted(coords, block, shape):
+        passes.append(coords.size)
+        return real(coords, block, shape)
 
-    monkeypatch.setattr(simulator, "_apply", counted)
+    monkeypatch.setattr(simulator, "_pass", counted)
     simulate_noisy(circuit, None, NoiseModel())
     two_qubit = sum(1 for gate in circuit.gates if len(gate.qubits) == 2)
-    assert passes and set(passes) == {10}  # every pass is on the rank-2n density tensor
+    assert passes and set(passes) == {4 ** 5}  # every pass is on the full coordinate vector
     assert len(passes) < two_qubit
 
 
@@ -520,13 +547,13 @@ def test_every_noisy_pass_is_real_arithmetic(monkeypatch):
     baseline = compile_exact(x / np.linalg.norm(x), GateKind.CX).physical_circuit
     with_slots = _random_physical_circuit(rng, 4, 30, GateKind.ECR, slots=3)
     dtypes = []
-    real = simulator._apply
+    real = simulator._pass
 
-    def checked(tensor, op, axes, rank):
-        dtypes.append((tensor.dtype, op.dtype))
-        return real(tensor, op, axes, rank)
+    def checked(coords, block, shape):
+        dtypes.append((coords.dtype, block.dtype))
+        return real(coords, block, shape)
 
-    monkeypatch.setattr(simulator, "_apply", checked)
+    monkeypatch.setattr(simulator, "_pass", checked)
     simulate_noisy(baseline, None, NoiseModel())
     simulate_noisy(with_slots, rng.uniform(-np.pi, np.pi, size=3), NoiseModel(0.01, 0.02))
     assert dtypes and set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
@@ -601,3 +628,84 @@ def test_rz_zero_leaves_the_noisy_state_bit_for_bit(two_qubit):
                 got = simulate_noisy(zeros, theta, noise).data
                 assert np.array_equal(got, simulate_noisy(circuit, theta, noise).data)
     assert positions == {None, 0, 1}  # pending, and both positions of an open block
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 30), st.sampled_from([GateKind.CX, GateKind.ECR]),
+       st.integers(0, 2**32 - 1))
+def test_noisy_matches_reference_on_fuzzed_circuits(num_qubits, length, two_qubit, seed):
+    # Pairs on chain neighbours and further apart, in both orientations,
+    # slot RZs, and RZ(+0.0), RZ(-0.0) and a slot bound to +-0.0.
+    rng = np.random.default_rng(seed)
+    circuit = _random_physical_circuit(rng, num_qubits, length, two_qubit, slots=3)
+    circuit = _with_zero_rotations(rng, circuit, zero_slot=3)
+    circuit.num_params = 4
+    theta = np.append(rng.uniform(-np.pi, np.pi, size=3), 0.0 if rng.random() < 0.5 else -0.0)
+    noise = _NOISES[int(rng.integers(len(_NOISES)))]
+    assert _max_diff_to_reference(circuit, noise, theta) <= 1e-12
+
+
+# ---------------------------------------------------- the cached noisy plan
+
+
+def _structure(circuit):
+    return [(g.kind, g.qubits, g.slot) for g in circuit.gates]
+
+
+def _plan_cases():
+    """Two dense n=5 baselines of one structure, a pruned sparse one, and
+    the ansatz at two thetas."""
+    rng = np.random.default_rng(60)
+    dense = [compile_exact(x / np.linalg.norm(x), GateKind.CX).physical_circuit
+             for x in rng.normal(size=(2, 32))]
+    assert _structure(dense[0]) == _structure(dense[1])
+    assert [g.angle for g in dense[0].gates] != [g.angle for g in dense[1].gates]
+    sparse = rng.normal(size=32)
+    sparse[16:] = 0.0
+    pruned = compile_exact(sparse / np.linalg.norm(sparse), GateKind.CX).physical_circuit
+    assert len(pruned.gates) < len(dense[0].gates)
+    ansatz = ansatz_physical(AnsatzConfig(5, 4), GateKind.CX)
+    thetas = rng.uniform(-np.pi, np.pi, size=(2, ansatz.num_params))
+    return [(dense[0], None), (dense[1], None), (pruned, None),
+            (ansatz, thetas[0]), (ansatz, thetas[1])]
+
+
+def test_cached_plans_give_the_cold_cache_bits():
+    noise = NoiseModel()
+    cases = _plan_cases()
+    cold = []
+    for circuit, theta in cases:
+        simulator._plan.cache_clear()
+        cold.append(simulate_noisy(circuit, theta, noise).data)
+    for circuit, theta in cases:
+        assert _max_diff_to_reference(circuit, noise, theta) <= 1e-12
+    for i in (0, 3, 2, 1, 4, 0, 4, 2, 1, 3):  # interleaved, every plan warm
+        circuit, theta = cases[i]
+        assert np.array_equal(simulate_noisy(circuit, theta, noise).data, cold[i])
+
+
+def test_threads_sharing_a_plan_give_the_serial_bits():
+    # More threads than `compare --jobs 2` uses, switching often.
+    noise = NoiseModel()
+    cases = _plan_cases() * 3
+    serial = [simulate_noisy(circuit, theta, noise).data for circuit, theta in cases]
+    misses = simulator._plan.cache_info().misses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda case: simulate_noisy(case[0], case[1], noise).data,
+                                     cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert simulator._plan.cache_info().misses == misses  # every call reused a plan
+    for got, want in zip(threaded, serial):
+        assert np.array_equal(got, want)
+
+
+def test_the_plan_cache_stays_within_its_bound():
+    bound = simulator._plan.cache_info().maxsize
+    for length in range(1, bound + 4):
+        simulate_noisy(Circuit(2, [Gate(GateKind.SX, (0,))] * length), None, NoiseModel())
+        assert simulator._plan.cache_info().currsize <= bound
+    assert simulator._plan.cache_info().currsize == bound
