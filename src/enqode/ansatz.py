@@ -7,8 +7,8 @@ odd layers, and finally RX(-pi/2) then RY(-pi/2) on every qubit. All CY
 pairs are chain-adjacent, so the circuit needs no routing.
 
 The prologue plus the RZ/CY body stays inside the phase-linear family and
-is tracked symbolically; the fixed epilogue is kept as per-qubit 2x2
-factors. Dense-simulating the logical circuit equals applying the epilogue
+is tracked symbolically; the fixed epilogue is one 2x2 factor on every
+qubit. Dense-simulating the logical circuit equals applying the epilogue
 to the symbolic evaluation. Optimizing toward a real target x through the
 full circuit is the same as optimizing the symbolic state toward the
 epilogue-inverted target t = E^dagger x.
@@ -16,7 +16,7 @@ epilogue-inverted target t = E^dagger x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,11 +48,16 @@ class AnsatzBundle:
     config: AnsatzConfig
     logical_circuit: Circuit
     symbolic: PhaseLinearState
-    epilogue_factors: list[np.ndarray] = field(repr=False)  # per-qubit 2x2
 
     @property
     def num_params(self) -> int:
         return self.config.num_params
+
+
+# The inverse of the epilogue's factor on one qubit; circuit-time order RX
+# then RY means the matrix product RY @ RX.
+_EPILOGUE_INVERSE = (ry_matrix(-np.pi / 2) @ rx_matrix(-np.pi / 2)).conj().T
+_EPILOGUE_INVERSE.flags.writeable = False
 
 
 def cy_pairs(layer: int, num_qubits: int) -> list[tuple[int, int]]:
@@ -81,9 +86,7 @@ def build(config: AnsatzConfig) -> AnsatzBundle:
         circuit.rx(q, -np.pi / 2)
         circuit.ry(q, -np.pi / 2)
 
-    # circuit-time order RX then RY means the matrix product RY @ RX
-    factor = ry_matrix(-np.pi / 2) @ rx_matrix(-np.pi / 2)
-    return AnsatzBundle(config, circuit, state, [factor.copy() for _ in range(n)])
+    return AnsatzBundle(config, circuit, state)
 
 
 @lru_cache(maxsize=8)
@@ -106,6 +109,6 @@ def invert_epilogue(bundle: AnsatzBundle, x: np.ndarray) -> np.ndarray:
     if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:
         raise ValueError("target is not L2-normalized")
     t = x.astype(complex)
-    for q, factor in enumerate(bundle.epilogue_factors):
-        t = apply_unitary(t, factor.conj().T, (q,), bundle.config.num_qubits)
+    for q in range(bundle.config.num_qubits):
+        t = apply_unitary(t, _EPILOGUE_INVERSE, (q,), bundle.config.num_qubits)
     return t

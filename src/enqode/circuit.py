@@ -56,10 +56,6 @@ class Gate:
         elif self.angle is not None or self.slot is not None:
             raise ValueError(f"{self.kind.value} carries no angle or slot")
 
-    @property
-    def is_virtual(self) -> bool:
-        return self.kind is GateKind.RZ
-
 
 @lru_cache(maxsize=4096)
 def fixed_gate(kind: GateKind, qubits: tuple[int, ...]) -> Gate:

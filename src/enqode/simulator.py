@@ -1,17 +1,13 @@
 """Dense statevector and density-matrix simulation with depolarizing noise.
 
 The statevector simulator applies X and CX as a cached index gather (they
-permute basis states) and every other gate unitary at rank n through
-`_apply`: the state is viewed as a tensor of 2s, the axes a gate touches
-are moved to the front by a cached permutation, and one matrix product
-applies the operator. The result stays in memory in the order the product
-left it (the gate's axes first, the other axes in their previous memory
-order) and is returned as a transposed view in the logical axis order. The
-next pass reads that memory order from the view's strides and again moves
-only its own axes, so each pass makes one copy, of long contiguous runs;
-the simulator flattens its state once, at the end, which puts the axes
-back in order. Qubit q is bit q of the basis index, so it is tensor axis
-n-1-q of a statevector.
+permute basis states) and every other gate unitary through `_apply`: the
+state is viewed as a tensor of 2s (qubit q is tensor axis n-1-q, since it
+is bit q of the basis index), one copy moves the gate's axes to the front
+with the others after them in logical order, one matrix product applies
+the operator, and the result is returned as a transposed view in logical
+axis order. The next pass copies from that view, so the simulator
+flattens its state once, at the end.
 
 The noisy simulator never holds rho itself while it runs. It evolves the
 Pauli coordinates c_P = tr(P rho), one per Pauli string P, so that
@@ -108,6 +104,18 @@ def ry_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _check_theta(circuit: Circuit, theta: np.ndarray | None) -> np.ndarray | None:
+    """theta as a float array of one entry per slot, checked against the
+    circuit; returned as given if the circuit has no slots."""
+    if circuit.num_params > 0:
+        if theta is None:
+            raise ValueError("circuit has parameter slots; theta is required")
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (circuit.num_params,):
+            raise ValueError(f"expected {circuit.num_params} parameters")
+    return theta
+
+
 def _angle(gate: Gate, theta: np.ndarray | None) -> float:
     if gate.angle is not None:
         return gate.angle
@@ -136,51 +144,30 @@ def gate_matrix(gate: Gate, theta: np.ndarray | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _permutation(axes: tuple[int, ...], strides: tuple[int, ...]):
-    """How `_apply` moves `axes` of a tensor with these strides.
-
-    Returns the axis order of the operand copy, whether the operand is read
-    as its transpose, and the inverse of the result's axis order (`axes`
-    first, then the others in the order they had in memory)."""
-    rank = len(strides)
-    memory = sorted(range(rank), key=lambda a: -strides[a])
-    rest = tuple(a for a in memory if a not in axes)
-    trailing = len(axes) < rank and axes == tuple(range(rank - len(axes), rank))
-    result = axes + rest
-    inverse = tuple(int(i) for i in np.argsort(result))
-    return (rest + axes if trailing else result), trailing, inverse
+def _permutation(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that puts the axes of `qubits` (axis n-1-q for qubit q)
+    first and the others after them in logical order, and its inverse."""
+    axes = tuple(n - 1 - q for q in qubits)
+    order = axes + tuple(a for a in range(n) if a not in axes)
+    return order, tuple(int(i) for i in np.argsort(order))
 
 
-def _apply(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...], rank: int) -> np.ndarray:
-    """op applied to `axes` of `tensor` viewed as a rank-`rank` tensor of 2s.
+def _apply(state: np.ndarray, op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """op applied to `qubits` of an n-qubit statevector, qubits[0] on the
+    most significant bit of op's index.
 
-    axes[0] is the most significant bit of op's index. `tensor` may be a
-    transposed view of a contiguous array, as this returns: a `(2,)*rank`
-    view of a new contiguous array that holds `axes` first and the other
-    axes in the order they had in memory. The operand of the product is the
-    one copy per pass; since it moves only `axes` and keeps the rest in
-    memory order, it copies long runs. A caller flattens the final tensor
-    once with `reshape(-1)`, which puts the axes back in order.
-
-    For the canonical trailing axes the operand is read as its transpose,
-    as the trailing axes of a contiguous state would be; otherwise it is
-    row-major. BLAS may round a small product differently for the two
-    layouts (OpenBLAS does for 16x16 by 16x4), so the layout is fixed by
-    `axes` alone, whatever the memory order of `tensor`. The memory order
-    of the other axes only permutes the operand's columns, and each column
-    of the product is rounded the same way wherever it sits (pinned by
-    `test_a_pass_gives_the_same_bits_in_every_memory_order`).
-    """
-    tensor = tensor.reshape((2,) * rank)
-    order, trailing, inverse = _permutation(axes, tensor.strides)
-    moved = np.ascontiguousarray(tensor.transpose(order))
-    moved = moved.reshape(-1, op.shape[1]).T if trailing else moved.reshape(op.shape[1], -1)
-    return (op @ moved).reshape((2,) * rank).transpose(inverse)
+    `state` may be flat or the `(2,)*n` view this returns: a transposed
+    view of a new contiguous array that holds the gate's axes first. The
+    copy of the operand is the one copy per pass; a caller flattens the
+    final view once with `reshape(-1)`."""
+    order, inverse = _permutation(qubits, n)
+    moved = np.ascontiguousarray(state.reshape((2,) * n).transpose(order))
+    return (op @ moved.reshape(op.shape[1], -1)).reshape((2,) * n).transpose(inverse)
 
 
 def apply_unitary(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply u on the given qubits of a statevector (qubit q = index bit q)."""
-    return _apply(state, u, tuple(n - 1 - q for q in qubits), n).reshape(-1)
+    return _apply(state, u, qubits, n).reshape(-1)
 
 
 _GATHERED = frozenset({GateKind.X, GateKind.CX})
@@ -205,12 +192,7 @@ def simulate_ideal(circuit: Circuit, theta: np.ndarray | None = None) -> np.ndar
     X and CX permute basis states, so they are applied as an index gather,
     which gives the amplitudes a product with their 0/1 matrix would (up to
     the sign of a zero); every other gate goes through `_apply`."""
-    if circuit.num_params > 0:
-        if theta is None:
-            raise ValueError("circuit has parameter slots; theta is required")
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (circuit.num_params,):
-            raise ValueError(f"expected {circuit.num_params} parameters")
+    theta = _check_theta(circuit, theta)
     n = circuit.num_qubits
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
@@ -218,7 +200,7 @@ def simulate_ideal(circuit: Circuit, theta: np.ndarray | None = None) -> np.ndar
         if gate.kind in _GATHERED:
             state = state.reshape(-1)[_gather_index(gate.kind, gate.qubits, n)]
         else:
-            state = _apply(state, gate_matrix(gate, theta), tuple(n - 1 - q for q in gate.qubits), n)
+            state = _apply(state, gate_matrix(gate, theta), gate.qubits, n)
     return state.reshape(-1)
 
 
@@ -467,12 +449,7 @@ def simulate_noisy(circuit: Circuit, theta: np.ndarray | None, noise: NoiseModel
         raise ValueError(f"density simulation capped at {_MAX_DENSITY_QUBITS} qubits")
     gates = circuit.gates
     plan = _plan(tuple([(g.kind, g.qubits, g.slot) for g in gates]), n, noise.p1, noise.p2)
-    if circuit.num_params > 0:
-        if theta is None:
-            raise ValueError("circuit has parameter slots; theta is required")
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (circuit.num_params,):
-            raise ValueError(f"expected {circuit.num_params} parameters")
+    theta = _check_theta(circuit, theta)
 
     angles = np.array([gates[i].angle for i in plan.angle_gates], dtype=float)
     if plan.slots.size:

@@ -80,7 +80,8 @@ def test_dense_simulation_equals_epilogue_of_symbolic(num_qubits, layers, seed):
     theta = rng.uniform(-np.pi, np.pi, size=bundle.num_params)
     dense = oracles.simulate(bundle.logical_circuit, theta)
     symbolic = bundle.symbolic.evaluate(theta)
-    for q, factor in enumerate(bundle.epilogue_factors):
+    factor = oracles.ry(-np.pi / 2) @ oracles.rx(-np.pi / 2)
+    for q in range(num_qubits):
         symbolic = oracles.embed_one(factor, q, num_qubits) @ symbolic
     assert np.max(np.abs(dense - symbolic)) <= 1e-10
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import datasets
 import oracles
 from enqode.ansatz import AnsatzConfig, cached_build
 from enqode.baseline import (
@@ -32,11 +33,6 @@ def _states_match_phase(a, b, atol):
     phase = a[idx] / b[idx]
     assert abs(abs(phase) - 1.0) <= atol
     assert np.max(np.abs(a - phase * b)) <= atol
-
-
-def _random_unit(rng, dims):
-    x = rng.normal(size=dims)
-    return x / np.linalg.norm(x)
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -72,7 +68,7 @@ def test_synthesize_handles_signed_amplitudes():
 def test_synthesize_three_qubits_vs_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        x = _random_unit(rng, 8)
+        x = datasets.random_unit_vector(8, rng)
         state = oracles.simulate(synthesize_exact(x), None)
         assert oracles.states_match(state, x, 1e-10)
 
@@ -83,7 +79,7 @@ def test_synthesize_dense_gate_counts_follow_the_chain_walk():
     rng = np.random.default_rng(13)
     cx_counts = []
     for n in range(1, 8):
-        kinds = [g.kind for g in synthesize_exact(_random_unit(rng, 1 << n)).gates]
+        kinds = [g.kind for g in synthesize_exact(datasets.random_unit_vector(1 << n, rng)).gates]
         assert kinds.count(GateKind.CX) == sum([2, 8, 16, 32, 68, 140][:n - 1])
         assert kinds.count(GateKind.RZ) == 2**n - 2
         assert kinds.count(GateKind.RX) == 2 * (n - 1)
@@ -145,7 +141,8 @@ def test_walk_visits_every_parity_between_neighbours_and_restores_the_wires(m):
 
 def test_synthesized_circuits_need_no_routing():
     for num_qubits in range(1, 11):
-        circuit = synthesize_exact(_random_unit(np.random.default_rng(num_qubits), 1 << num_qubits))
+        x = datasets.random_unit_vector(1 << num_qubits, np.random.default_rng(num_qubits))
+        circuit = synthesize_exact(x)
         routed = route_linear(circuit)
         assert routed.circuit.gates == circuit.gates
         assert routed.layout == tuple(range(num_qubits))
@@ -302,7 +299,8 @@ def test_lower_is_idempotent_on_lowered_circuits(two_qubit):
         assert again.gates == lowered.gates
         assert again.num_params == lowered.num_params
     for num_qubits in range(2, 7):
-        physical = compile_exact(_random_unit(rng, 1 << num_qubits), two_qubit).physical_circuit
+        x = datasets.random_unit_vector(1 << num_qubits, rng)
+        physical = compile_exact(x, two_qubit).physical_circuit
         assert lower_to_basis(physical, two_qubit).gates == physical.gates
 
 
@@ -343,7 +341,7 @@ def test_permute_state_swaps_bits():
 def test_route_preserves_state_up_to_layout():
     rng = np.random.default_rng(5)
     for _ in range(5):
-        x = _random_unit(rng, 16)
+        x = datasets.random_unit_vector(16, rng)
         lowered = lower_to_basis(synthesize_exact(x))
         routed = route_linear(lowered)
         state = oracles.simulate(routed.circuit, None)
@@ -398,7 +396,7 @@ def test_ansatz_routes_with_zero_swaps(two_qubit):
 )
 def test_route_counts_of_a_seeded_dense_target_are_pinned(num_qubits, cx, swaps, depth):
     # a router regression shows here first; dense targets share one structure
-    x = _random_unit(np.random.default_rng(num_qubits), 1 << num_qubits)
+    x = datasets.random_unit_vector(1 << num_qubits, np.random.default_rng(num_qubits))
     routed = route_linear(lower_to_basis(synthesize_exact(x)))
     assert sum(g.kind is GateKind.SWAP for g in routed.circuit.gates) == swaps
     counts = compile_exact(x).metrics
@@ -414,7 +412,7 @@ def test_dense_one_qubit_count_is_four_sx_per_multiplexor():
     # angle count; the m = 0 stage is one RY (two SX)
     rng = np.random.default_rng(47)
     for num_qubits in range(1, 9):
-        counts = compile_exact(_random_unit(rng, 1 << num_qubits)).metrics
+        counts = compile_exact(datasets.random_unit_vector(1 << num_qubits, rng)).metrics
         assert counts.one_qubit_physical == 2 + 4 * (num_qubits - 1)
 
 
@@ -475,7 +473,7 @@ def test_compile_chain_invariants_on_structured_targets(x):
 @pytest.mark.parametrize("num_qubits", [5, 6, 7, 8])
 def test_compile_exact_is_exact_at_larger_n(num_qubits, two_qubit):
     rng = np.random.default_rng([43, num_qubits])
-    dense = _random_unit(rng, 1 << num_qubits)
+    dense = datasets.random_unit_vector(1 << num_qubits, rng)
     sparse = dense * (rng.random(1 << num_qubits) < 0.3)
     sparse[0] = 0.5
     for x in (dense, sparse / np.linalg.norm(sparse)):
@@ -486,7 +484,7 @@ def test_compile_exact_is_exact_at_larger_n(num_qubits, two_qubit):
 
 def test_compile_exact_physical_circuit_is_basis_legal():
     rng = np.random.default_rng(41)
-    x = _random_unit(rng, 16)
+    x = datasets.random_unit_vector(16, rng)
     for basis in (GateKind.CX, GateKind.ECR):
         result = compile_exact(x, basis)
         allowed = {GateKind.RZ, GateKind.SX, GateKind.X, basis}

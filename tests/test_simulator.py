@@ -92,7 +92,8 @@ def test_ideal_ansatz_equals_epilogue_of_symbolic(num_qubits, layers, seed):
     theta = rng.uniform(-np.pi, np.pi, size=bundle.num_params)
     dense = simulate_ideal(bundle.logical_circuit, theta)
     via_table = bundle.symbolic.evaluate(theta)
-    for q, factor in enumerate(bundle.epilogue_factors):
+    factor = oracles.ry(-np.pi / 2) @ oracles.rx(-np.pi / 2)
+    for q in range(num_qubits):
         via_table = oracles.embed_one(factor, q, num_qubits) @ via_table
     assert np.max(np.abs(dense - via_table)) <= 1e-10
 
@@ -279,7 +280,7 @@ def test_noisy_matches_reference_on_rz_only_circuits():
             c.rz(int(rng.integers(num_qubits)), angle=float(rng.uniform(-np.pi, np.pi)))
         for noise in _NOISES:
             assert _max_diff_to_reference(c, noise) <= 1e-12
-            bare = Circuit(num_qubits, [g for g in c.gates if g.is_virtual])
+            bare = Circuit(num_qubits, [g for g in c.gates if g.kind is GateKind.RZ])
             assert _max_diff_to_reference(bare, noise) <= 1e-12
 
 
@@ -382,7 +383,7 @@ def _moveaxis_statevector(circuit, theta=None):
 
 def test_ideal_is_bit_for_bit_the_moveaxis_path():
     rng = np.random.default_rng(47)
-    for num_qubits in range(1, 8):
+    for num_qubits in range(1, 11):
         for two_qubit in (GateKind.CX, GateKind.ECR):
             circuit = _random_physical_circuit(rng, num_qubits, 40, two_qubit, slots=4)
             for gate in ((GateKind.CY, GateKind.SWAP) if num_qubits >= 2 else ()):
@@ -407,54 +408,62 @@ def test_apply_unitary_is_bit_for_bit_the_moveaxis_path():
             assert np.array_equal(got, oracles.reference_apply_unitary(state, u, qubits, n))
 
 
+def _supports(n):
+    """Every one-qubit and every ordered two-qubit support on n qubits."""
+    return [(a,) for a in range(n)] + [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+def _random_op(rng, support):
+    d = 1 << len(support)
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
 def test_apply_does_not_depend_on_the_layout_of_its_input():
     # _apply returns transposed views; a pass on one must give the bits it
-    # gives on a contiguous copy, for every pair of qubit pairs in a row.
+    # gives on a contiguous copy, for every ordered pair of supports in a row.
     rng = np.random.default_rng(58)
-    for n in (2, 3, 4):
-        rank = 2 * n
-        pairs = [tuple(a for q in pair for a in (2 * (n - 1 - q), 2 * (n - 1 - q) + 1))
-                 for pair in ((a, b) for a in range(n) for b in range(n) if a != b)]
-        tensor = rng.normal(size=(2,) * rank)
-        for first in pairs:
-            view = simulator._apply(tensor, rng.normal(size=(16, 16)), first, rank)
-            for second in pairs:
-                op = rng.normal(size=(16, 16))
-                got = simulator._apply(view, op, second, rank)
-                assert np.array_equal(got, simulator._apply(np.ascontiguousarray(view), op, second, rank))
-
-
-def _fixed_layout_pass(coords, op, axes, rank):
-    """One 16x16 pass on contiguous coordinates in canonical axis order, with
-    the operand laid out by `axes` alone: read as a transpose for the
-    trailing axes, row-major otherwise."""
-    rest = tuple(a for a in range(rank) if a not in axes)
-    if axes == tuple(range(rank - 4, rank)):
-        out = op @ coords.reshape(-1, 16).T
-    else:
-        out = op @ np.ascontiguousarray(coords.transpose(axes + rest)).reshape(16, -1)
-    return out.reshape((2,) * rank).transpose(np.argsort(axes + rest)).reshape(-1)
+    for n in (2, 3, 4, 5):
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for first in _supports(n):
+            view = simulator._apply(state, _random_op(rng, first), first, n)
+            for second in _supports(n):
+                op = _random_op(rng, second)
+                got = simulator._apply(view, op, second, n)
+                assert np.array_equal(got, simulator._apply(np.ascontiguousarray(view), op, second, n))
 
 
 def test_a_pass_gives_the_same_bits_in_every_memory_order():
-    # The noisy simulator keeps its coordinates in whatever axis order the
-    # last pass left; a pass must give the bits of the fixed-layout product.
+    # A state reaches _apply in the memory order the previous pass left, or
+    # in any other; a pass must give the bits of the moveaxis reference.
     rng = np.random.default_rng(59)
-    for n in range(2, 9):
-        rank = 2 * n
-        coords = rng.normal(size=(2,) * rank)
-        qubit_order = rng.permutation(n)
-        memory = tuple(a for q in qubit_order for a in (2 * q, 2 * q + 1))
-        shuffled = np.ascontiguousarray(coords.transpose(memory)).transpose(np.argsort(memory))
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                axes = (2 * (n - 1 - a), 2 * (n - 1 - a) + 1, 2 * (n - 1 - b), 2 * (n - 1 - b) + 1)
-                op = rng.normal(size=(16, 16))
-                want = _fixed_layout_pass(coords, op, axes, rank)
-                for held in (coords, shuffled):
-                    assert np.array_equal(simulator._apply(held, op, axes, rank).reshape(-1), want)
+    for n in range(2, 11):
+        start = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        support = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+        left = simulator._apply(start, _random_op(rng, support), support, n)
+        state = left.reshape(-1)
+        memory = tuple(int(a) for a in rng.permutation(n))
+        shuffled = np.ascontiguousarray(state.reshape((2,) * n).transpose(memory))
+        shuffled = shuffled.transpose(np.argsort(memory))
+        for qubits in _supports(n):
+            op = _random_op(rng, qubits)
+            want = oracles.reference_apply_unitary(state, op, qubits, n)
+            for held in (left, shuffled):
+                assert np.array_equal(simulator._apply(held, op, qubits, n).reshape(-1), want)
+
+
+def test_the_permutation_cache_is_keyed_on_the_support_and_size_only():
+    # One entry per support a gate can have, n + n(n-1), whatever memory
+    # order the previous passes left the state in.
+    rng = np.random.default_rng(60)
+    for n in range(1, 11):
+        simulator._permutation.cache_clear()
+        for two_qubit in (GateKind.ECR, GateKind.CX):
+            circuit = _random_physical_circuit(rng, n, 60, two_qubit, slots=3)
+            for kind in ((GateKind.CY, GateKind.SWAP) if n >= 2 else ()):
+                a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+                circuit.append(Gate(kind, (a, b)))
+            simulate_ideal(circuit, rng.uniform(-np.pi, np.pi, size=3))
+        assert 0 < simulator._permutation.cache_info().currsize <= n + n * (n - 1)
 
 
 # ------------------------------------------------- Pauli coordinates and PTMs
@@ -577,7 +586,7 @@ def _open_block_positions(gates):
                         open_pair.pop(other, None)
                 for q in gate.qubits:
                     open_pair[q] = gate.qubits
-        elif gate.is_virtual:
+        elif gate.kind is GateKind.RZ:
             pair = open_pair.get(gate.qubits[0])
             positions.append(None if pair is None else pair.index(gate.qubits[0]))
     return positions
@@ -623,7 +632,7 @@ def test_rz_zero_leaves_the_noisy_state_bit_for_bit(two_qubit):
                 zeros = _with_zero_rotations(rng, circuit, zero_slot=3)
                 assert len(zeros.gates) > len(circuit.gates)
                 positions.update(p for g, p in zip(
-                    (g for g in zeros.gates if g.is_virtual), _open_block_positions(zeros.gates))
+                    (g for g in zeros.gates if g.kind is GateKind.RZ), _open_block_positions(zeros.gates))
                     if g.slot == 3 or g.angle == 0.0)
                 got = simulate_noisy(zeros, theta, noise).data
                 assert np.array_equal(got, simulate_noisy(circuit, theta, noise).data)
