@@ -6,8 +6,9 @@ Everything lands under --out: the raw and prepared CSVs, the trained
 library, report.json / report.csv, and the four SVG figures. The compare
 step density-simulates each sample's exact-synthesis circuit and ansatz
 under noise. At the default eight qubits that costs about 40 and 10 ms
-per sample (one BLAS thread on a shared 2-vCPU VM), and the whole run at
-the default 30 samples takes 2-5 s.
+per sample (one BLAS thread, which the script sets unless the environment
+already names a count, on a shared 2-vCPU VM), and the whole run at the
+default 30 samples takes 2-5 s.
 """
 
 import argparse
@@ -15,7 +16,14 @@ import os
 import subprocess
 import sys
 
-from enqode.cli import main as enqode_main
+# One BLAS/OpenMP thread unless the caller chose otherwise, set before numpy
+# loads through enqode: under OpenBLAS's default of one thread per core the
+# whole run takes about twice as long on a 2-vCPU machine. The
+# make_synthetic.py child inherits the setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from enqode.cli import main as enqode_main  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 

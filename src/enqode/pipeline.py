@@ -2,9 +2,11 @@
 
 Offline: k-means over the unit-normalized samples (smallest k whose worst
 squared sample/centroid overlap clears the fidelity floor), then one full
-cold-start optimization per centroid. Online: a new sample warm-starts
-from its nearest centroid's trained parameters, so most of the work is
-already done and every sample compiles to the same fixed-shape circuit.
+cold-start optimization per centroid. Every k the search tries seeds Lloyd
+with a prefix of one farthest-point order, which gives the same result as
+re-seeding per k. Online: a new sample warm-starts from its nearest
+centroid's trained parameters, so most of the work is already done and
+every sample compiles to the same fixed-shape circuit.
 """
 
 from __future__ import annotations
@@ -84,17 +86,11 @@ def _check_unit_rows(data: np.ndarray) -> None:
         raise ValueError(f"row {bad[0]} is not L2-normalized (norm {norms[bad[0]]:.6g})")
 
 
-def _seed_centroids(data: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Farthest-point seeding: seeded random first pick, then repeatedly the
-    sample farthest from the chosen set (ties to the lowest index)."""
-    rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(len(data)))]
-    dist_sq = np.sum((data - data[chosen[0]]) ** 2, axis=1)
-    while len(chosen) < k:
-        nxt = int(np.argmax(dist_sq))
-        chosen.append(nxt)
-        dist_sq = np.minimum(dist_sq, np.sum((data - data[nxt]) ** 2, axis=1))
-    return data[chosen].copy()
+def _distance_sq(data: np.ndarray, row: int) -> np.ndarray:
+    """Squared Euclidean distance from every sample to sample `row`."""
+    diff = data - data[row]
+    diff *= diff
+    return diff.sum(axis=1)
 
 
 def _lloyd(data: np.ndarray, centroids: np.ndarray):
@@ -121,13 +117,13 @@ def _lloyd(data: np.ndarray, centroids: np.ndarray):
     return assignments, centroids
 
 
-def _evaluate_k(data: np.ndarray, k: int, seed: int) -> ClusteringResult:
-    assignments, centroids = _lloyd(data, _seed_centroids(data, k, seed))
+def _evaluate_k(data: np.ndarray, seeds: np.ndarray) -> ClusteringResult:
+    assignments, centroids = _lloyd(data, seeds)
     overlap = np.einsum("ij,ij->i", data, centroids[assignments])
     return ClusteringResult(
         assignments=assignments,
         centroids=centroids,
-        k=k,
+        k=len(centroids),
         min_overlap_sq=float(np.min(overlap**2)),
         feasible=True,
     )
@@ -137,6 +133,12 @@ def cluster(data, fidelity_floor: float = 0.95, k_max: int | None = None,
             seed: int = 0) -> ClusteringResult:
     """Smallest k (double, then binary search) whose worst squared overlap
     between a sample and its normalized centroid reaches the floor.
+
+    Each k starts Lloyd from farthest-point seeds: a seeded random first
+    pick, then repeatedly the sample farthest from the picks so far (ties
+    to the lowest index). That greedy order does not depend on k, so every
+    k's seeds are a prefix of one order, extended only as far as the
+    largest k tried; this gives the same result as re-seeding per k.
 
     When even k_max misses the floor, the k_max result comes back with
     feasible=False instead of raising, so callers can report how close the
@@ -152,11 +154,16 @@ def cluster(data, fidelity_floor: float = 0.95, k_max: int | None = None,
     if not 1 <= k_max <= rows:
         raise ValueError(f"k_max must be in [1, {rows}], got {k_max}")
 
+    picks = [int(np.random.default_rng(seed).integers(rows))]
+    nearest_sq = np.full(rows, np.inf)  # squared distance to the nearest pick
     cache: dict[int, ClusteringResult] = {}
 
     def run(k: int) -> ClusteringResult:
+        while len(picks) < k:
+            np.minimum(nearest_sq, _distance_sq(data, picks[-1]), out=nearest_sq)
+            picks.append(int(np.argmax(nearest_sq)))
         if k not in cache:
-            cache[k] = _evaluate_k(data, k, seed)
+            cache[k] = _evaluate_k(data, data[picks[:k]])
         return cache[k]
 
     k = 1
@@ -214,8 +221,9 @@ def embed_online(x, library: TrainedLibrary, opts: OptimizerOptions = OptimizerO
                  sample_id: int = 0) -> EmbeddingResult:
     """Warm-started embedding of one sample from its nearest cluster.
 
-    Nearest is Euclidean distance to the centroids (ties break to the
-    lowest cluster id); compile_time covers the optimization only.
+    Nearest is the centroid with the largest dot product, which on unit
+    vectors is the one at the smallest Euclidean distance; ties break to
+    the lowest cluster id. compile_time covers the optimization only.
     """
     if not library.clusters:
         raise ValueError("library has no trained clusters")

@@ -49,6 +49,14 @@ class PhaseLinearState:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def root_amplitude(self) -> np.ndarray:
+        """2^(-n/2) * i**root_exp, the theta-free factor of every amplitude,
+        built once on first use by `evaluate`."""
+        amplitude = 2.0 ** (-self.num_qubits / 2.0) * _I_POWERS[self.root_exp]
+        amplitude.flags.writeable = False
+        return amplitude
+
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
@@ -97,8 +105,7 @@ class PhaseLinearState:
         if theta.shape != (self.num_params,):
             raise ValueError(f"expected {self.num_params} parameters, got shape {theta.shape}")
         half_phase = 0.5 * (self.coeff_float @ theta)
-        scale = 2.0 ** (-self.num_qubits / 2.0)
-        return scale * _I_POWERS[self.root_exp] * np.exp(1j * half_phase)
+        return self.root_amplitude * np.exp(1j * half_phase)
 
 
 def init_plus_i(num_qubits: int) -> PhaseLinearState:
@@ -111,28 +118,34 @@ def init_plus_i(num_qubits: int) -> PhaseLinearState:
     return PhaseLinearState(num_qubits, popcount % 4, coeff)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlapModel:
     """Squared-overlap infidelity against a fixed unit target vector.
 
     loss(theta) = 1 - |<target|state(theta)>|^2, with the exact analytic
     gradient from the linear phases (no finite differences anywhere).
+    The model is frozen and keeps a read-only copy of the target, so the
+    conjugate it stores once cannot go stale.
     """
 
     state: PhaseLinearState
     target: np.ndarray = field(repr=False)
+    target_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=complex)
-        if self.target.shape != (self.state.dim,):
+        target = np.array(self.target, dtype=complex)
+        if target.shape != (self.state.dim,):
             raise ValueError("target length does not match state dimension")
-        norm = np.linalg.norm(self.target)
+        norm = np.linalg.norm(target)
         if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"target is not normalized (norm {norm})")
+        target.flags.writeable = False
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target_conj", np.conj(target))
 
     def loss_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         psi = self.state.evaluate(theta)
-        weighted = np.conj(self.target) * psi
+        weighted = self.target_conj * psi
         overlap = weighted.sum()
         loss = 1.0 - (overlap.real**2 + overlap.imag**2)
         # d(psi_r)/d(theta_j) = psi_r * (i * coeff_rj / 2). Two real products

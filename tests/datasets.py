@@ -51,6 +51,27 @@ def clustered_dataset(num_qubits: int, per_cluster: int, sigma: float = 0.01,
     return values, centroids
 
 
+def twin_blob_dataset(rng: np.random.Generator, num_qubits: int = 10,
+                      per_blob: int = 20, sigma: float = 0.003) -> np.ndarray:
+    """Eight shuffled blobs of normalized rows, two of them near-twins.
+
+    Seven centroids sit at pi/4 +- 0.25 per qubit on sign patterns at
+    Hamming distance >= 2, so no two share a cluster at the 0.95 floor; the
+    eighth is the first moved by at most 0.01 per qubit and merges with it.
+    The k-search at 0.95 therefore ends at k = 7 after trying 1, 2, 4, 8, 6
+    and 7 (the shape of the benchmark's n=10 training data).
+    """
+    while True:
+        codes = rng.choice([-1.0, 1.0], size=(7, num_qubits))
+        hamming = (codes[:, None, :] != codes[None, :, :]).sum(axis=2)
+        if (hamming + 2 * np.eye(7, dtype=int)).min() >= 2:
+            break
+    angles = [np.pi / 4 + 0.25 * c + rng.uniform(-0.02, 0.02, num_qubits) for c in codes]
+    angles.append(angles[0] + rng.uniform(-0.01, 0.01, num_qubits))
+    values = np.vstack([blob_rows(product_state(a), per_blob, sigma, rng) for a in angles])
+    return values[rng.permutation(len(values))]
+
+
 def random_unit_vector(dims: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dims)
     return v / np.linalg.norm(v)

@@ -321,3 +321,70 @@ def pauli_transfer_matrix(u, p):
         for i, pi in enumerate(strings):
             out[i, j] = np.trace(pi @ image).real / d
     return out
+
+
+# ---------------------------------------------------- k-search reference
+#
+# The cluster search as the package ran it when every k re-seeded from
+# scratch. The arithmetic uses the same numpy primitives as the package
+# (matrix product for assignment, row mean, vector norm, einsum overlap) so
+# the two compare bit for bit; the seeding, the Lloyd loop and the search
+# are written out here again.
+
+
+def _reference_farthest_seeds(data, k, seed):
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(len(data)))]
+    dist_sq = np.sum((data - data[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < k:
+        chosen.append(int(np.argmax(dist_sq)))
+        dist_sq = np.minimum(dist_sq, np.sum((data - data[chosen[-1]]) ** 2, axis=1))
+    return data[chosen].copy()
+
+
+def _reference_kmeans(data, k, seed):
+    centroids = _reference_farthest_seeds(data, k, seed)
+    assignments = None
+    for _ in range(100):
+        new = np.argmax(data @ centroids.T, axis=1)
+        if assignments is not None and np.array_equal(new, assignments):
+            break
+        assignments = new
+        for i in range(k):
+            members = data[assignments == i]
+            if len(members):
+                mean = members.mean(axis=0)
+                norm = np.linalg.norm(mean)
+                if norm > 0.0:
+                    centroids[i] = mean / norm
+    overlap = np.einsum("ij,ij->i", data, centroids[assignments])
+    return {"k": k, "assignments": assignments, "centroids": centroids,
+            "min_overlap_sq": float(np.min(overlap**2)), "feasible": True}
+
+
+def reference_cluster(data, floor, k_max, seed):
+    """Smallest k on the doubling-then-bisection path whose worst squared
+    overlap reaches `floor`; the k_max result with feasible False when even
+    k_max misses it. Every k is seeded and clustered from scratch."""
+    data = np.asarray(data, dtype=float)
+    tried = {}
+
+    def passes(k):
+        if k not in tried:
+            tried[k] = _reference_kmeans(data, k, seed)
+        return tried[k]["min_overlap_sq"] >= floor
+
+    k = 1
+    while not passes(min(k, k_max)):
+        if k >= k_max:
+            return dict(tried[k_max], feasible=False)
+        k *= 2
+    high = min(k, k_max)
+    low = high // 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if passes(mid):
+            high = mid
+        else:
+            low = mid
+    return tried[high]

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import datasets
+import oracles
+from enqode import pipeline
 from enqode.ansatz import AnsatzConfig, build, invert_epilogue
 from enqode.optimizer import ObjectiveError, OptimizerOptions, minimize
 from enqode.pipeline import (
@@ -97,6 +99,56 @@ def test_cluster_centroids_are_unit_norm_and_deterministic():
     assert np.array_equal(first.centroids, second.centroids)
     norms = np.linalg.norm(first.centroids, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+
+def _reference_cases():
+    """Datasets for the k-search oracle: separated blobs, orthogonal rows
+    and random rows, each with repeated rows so that farthest-point and
+    assignment argmax ties occur."""
+    blobs, _ = datasets.clustered_dataset(num_qubits=3, per_cluster=5, seed=8)
+    rng = np.random.default_rng(9)
+    scattered = np.array([datasets.random_unit_vector(8, rng) for _ in range(10)])
+    twins = datasets.twin_blob_dataset(np.random.default_rng(10), num_qubits=4, per_blob=3)
+    for data in (blobs, np.eye(6), scattered, twins):
+        yield np.vstack([data, data[::3], data[:2]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cluster_is_bit_for_bit_the_reseeding_reference(seed):
+    for data in _reference_cases():
+        for floor in (0.5, 0.8, 0.95, 0.99, 0.999):
+            for k_max in (len(data), 2, 5):
+                got = cluster(data, fidelity_floor=floor, k_max=k_max, seed=seed)
+                want = oracles.reference_cluster(data, floor, k_max, seed)
+                assert got.k == want["k"]
+                assert got.assignments.tobytes() == want["assignments"].tobytes()
+                assert got.centroids.tobytes() == want["centroids"].tobytes()
+                assert got.min_overlap_sq == want["min_overlap_sq"]
+                assert got.feasible == want["feasible"]
+
+
+def test_k_search_extends_one_seed_order(monkeypatch):
+    """Each distance row serves every k tried: the search computes one row
+    per pick before the largest k's last, where re-seeding every k of
+    1, 2, 4, 8, 6, 7 computed 28."""
+    rows_computed, ks_tried = [], []
+    distance_sq, evaluate_k = pipeline._distance_sq, pipeline._evaluate_k
+
+    def counted_distance_sq(data, row):
+        rows_computed.append(row)
+        return distance_sq(data, row)
+
+    def recorded_evaluate_k(data, seeds):
+        ks_tried.append(len(seeds))
+        return evaluate_k(data, seeds)
+
+    monkeypatch.setattr(pipeline, "_distance_sq", counted_distance_sq)
+    monkeypatch.setattr(pipeline, "_evaluate_k", recorded_evaluate_k)
+    data = datasets.twin_blob_dataset(np.random.default_rng(27))
+    result = cluster(data, fidelity_floor=0.95)
+    assert result.k == 7 and result.feasible
+    assert ks_tried == [1, 2, 4, 8, 6, 7]
+    assert len(rows_computed) == max(ks_tried) - 1 == 7
 
 
 # -- offline training --------------------------------------------------------

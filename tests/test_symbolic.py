@@ -229,6 +229,24 @@ def test_overlap_model_rejects_unnormalized_target():
         OverlapModel(state, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
+def test_overlap_model_target_is_fixed_at_construction():
+    """The model keeps its own conjugated target, so neither the caller's
+    array nor the model's fields can change what it computes."""
+    state = init_plus_i(2).apply_rz(0, 0).apply_cy(0, 1).apply_rz(1, 1)
+    target = state.evaluate(np.array([0.4, -1.1]))
+    model = OverlapModel(state, target)
+    theta = np.array([0.1, 0.2])
+    loss, grad = model.loss_and_grad(theta)
+    target[:] = target[::-1]
+    with pytest.raises(ValueError, match="read-only"):
+        model.target[0] = 0.0
+    with pytest.raises(AttributeError):
+        model.target = target
+    again = model.loss_and_grad(theta)
+    assert again[0] == loss
+    assert np.array_equal(again[1], grad)
+
+
 def _gradients_and_complex_products():
     """(loss_and_grad's gradient, the same gradient from the complex product
     `weighted @ table`) on seeded ansatz models at n = 4..10."""
