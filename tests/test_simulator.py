@@ -9,7 +9,7 @@ import oracles
 from enqode import simulator
 from enqode.ansatz import AnsatzConfig, ansatz_physical, build
 from enqode.baseline import compile_exact
-from enqode.circuit import Circuit, Gate, GateKind
+from enqode.circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from enqode.simulator import (
     DensityMatrix,
     NoiseModel,
@@ -206,6 +206,13 @@ def test_noisy_rejects_a_non_finite_theta():
             simulate_noisy(circuit, np.array([bad]), NoiseModel())
 
 
+def test_ideal_rejects_a_non_finite_theta():
+    circuit = Circuit(2).sx(0).rz(0, slot=0).cx(0, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate_ideal(circuit, np.array([bad]))
+
+
 # ------------------------------------ equivalence with the reference paths
 
 
@@ -381,7 +388,8 @@ def _moveaxis_statevector(circuit, theta=None):
     return state
 
 
-def test_ideal_is_bit_for_bit_the_moveaxis_path():
+def test_ideal_matches_the_moveaxis_path():
+    # Runs of X, CX and RZ apply their phases fused, so the last bits move.
     rng = np.random.default_rng(47)
     for num_qubits in range(1, 11):
         for two_qubit in (GateKind.CX, GateKind.ECR):
@@ -392,7 +400,7 @@ def test_ideal_is_bit_for_bit_the_moveaxis_path():
             circuit.rx(0, 0.3).ry(num_qubits - 1, -1.1)
             theta = rng.uniform(-np.pi, np.pi, size=4)
             got = simulate_ideal(circuit, theta)
-            assert np.array_equal(got, _moveaxis_statevector(circuit, theta))
+            assert np.max(np.abs(got - _moveaxis_statevector(circuit, theta))) <= 1e-12
 
 
 def test_apply_unitary_is_bit_for_bit_the_moveaxis_path():
@@ -718,3 +726,118 @@ def test_the_plan_cache_stays_within_its_bound():
         simulate_noisy(Circuit(2, [Gate(GateKind.SX, (0,))] * length), None, NoiseModel())
         assert simulator._plan.cache_info().currsize <= bound
     assert simulator._plan.cache_info().currsize == bound
+
+
+# ---------------------------------------------------- the cached ideal plan
+
+
+def _oracle_statevector(circuit, theta=None):
+    """One `reference_apply_unitary` per gate with the oracle's matrix of the
+    gate on its own qubits, the first on the most significant bit."""
+    n = circuit.num_qubits
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    for gate in circuit.gates:
+        own = tuple(reversed(range(len(gate.qubits))))
+        u = oracles.gate_operator(Gate(gate.kind, own, gate.angle, gate.slot), len(own), theta)
+        state = oracles.reference_apply_unitary(state, u, gate.qubits, n)
+    return state
+
+
+_MONOMIAL_KINDS = (GateKind.RZ, GateKind.X, GateKind.CX)
+_DENSE_KINDS = (GateKind.SX, GateKind.RX, GateKind.RY, GateKind.CY, GateKind.SWAP, GateKind.ECR)
+
+
+def _random_ideal_circuit(rng, num_qubits, length, kinds, slots):
+    """`length` gates drawn from `kinds`, two-qubit ones only if there are
+    two qubits; rotations take a slot instead of an angle a third of the time."""
+    if num_qubits < 2:
+        kinds = [k for k in kinds if k not in TWO_QUBIT_KINDS]
+    c = Circuit(num_qubits, num_params=slots)
+    for _ in range(length):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind in TWO_QUBIT_KINDS:
+            qubits = tuple(int(v) for v in rng.choice(num_qubits, size=2, replace=False))
+        else:
+            qubits = (int(rng.integers(num_qubits)),)
+        if kind not in ROTATION_KINDS:
+            c.append(Gate(kind, qubits))
+        elif rng.random() < 1 / 3:
+            c.append(Gate(kind, qubits, slot=int(rng.integers(slots))))
+        else:
+            c.append(Gate(kind, qubits, angle=float(rng.uniform(-np.pi, np.pi))))
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 40), st.sampled_from(["mixed", "monomial", "dense"]),
+       st.integers(0, 2**32 - 1))
+def test_ideal_matches_the_oracle_on_fuzzed_circuits(num_qubits, length, mix, seed):
+    # Mixed circuits draw monomial gates more often, so long runs are common.
+    rng = np.random.default_rng(seed)
+    kinds = {"mixed": _MONOMIAL_KINDS * 3 + _DENSE_KINDS, "monomial": _MONOMIAL_KINDS,
+             "dense": _DENSE_KINDS}[mix]
+    circuit = _random_ideal_circuit(rng, num_qubits, length, kinds, slots=3)
+    theta = rng.uniform(-np.pi, np.pi, size=3)
+    got = simulate_ideal(circuit, theta)
+    assert np.max(np.abs(got - _oracle_statevector(circuit, theta))) <= 1e-12
+
+
+def _ideal_plan_cases():
+    """The noisy plan's cases, the logical ansatz, and one circuit that is
+    only X, CX and RZ with slots."""
+    rng = np.random.default_rng(61)
+    ansatz = build(AnsatzConfig(5, 3)).logical_circuit
+    monomial = _random_ideal_circuit(rng, 5, 60, _MONOMIAL_KINDS, slots=3)
+    return _plan_cases() + [(ansatz, rng.uniform(-np.pi, np.pi, size=ansatz.num_params)),
+                            (monomial, rng.uniform(-np.pi, np.pi, size=3))]
+
+
+def test_cached_ideal_plans_give_the_cold_cache_bits():
+    cases = _ideal_plan_cases()
+    cold = []
+    for circuit, theta in cases:
+        simulator._ideal_plan.cache_clear()
+        cold.append(simulate_ideal(circuit, theta))
+    for (circuit, theta), state in zip(cases, cold):
+        assert np.max(np.abs(state - _oracle_statevector(circuit, theta))) <= 1e-12
+    for i in (0, 3, 6, 2, 5, 1, 4, 0, 6, 2, 1, 3):  # interleaved, every plan warm
+        circuit, theta = cases[i]
+        assert np.array_equal(simulate_ideal(circuit, theta), cold[i])
+
+
+def test_threads_sharing_an_ideal_plan_give_the_serial_bits():
+    cases = _ideal_plan_cases() * 3
+    serial = [simulate_ideal(circuit, theta) for circuit, theta in cases]
+    misses = simulator._ideal_plan.cache_info().misses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda case: simulate_ideal(*case), cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert simulator._ideal_plan.cache_info().misses == misses  # every call reused a plan
+    for got, want in zip(threaded, serial):
+        assert np.array_equal(got, want)
+
+
+def test_the_ideal_plan_cache_stays_within_its_bound():
+    bound = simulator._ideal_plan.cache_info().maxsize
+    for length in range(1, bound + 4):
+        simulate_ideal(Circuit(2, [Gate(GateKind.SX, (0,))] * length))
+        assert simulator._ideal_plan.cache_info().currsize <= bound
+    assert simulator._ideal_plan.cache_info().currsize == bound
+
+
+def test_a_dense_baseline_plans_one_dense_step_per_sx():
+    # The chain-walk baseline is 2 + 4(n-1) SX between runs of X, CX and RZ.
+    rng = np.random.default_rng(62)
+    for n in range(1, 9):
+        x = rng.normal(size=1 << n)
+        circuit = compile_exact(x / np.linalg.norm(x), GateKind.CX).physical_circuit
+        plan = simulator._ideal_plan(tuple(_structure(circuit)), n)
+        dense = [gate for gate, _, _ in plan.steps if gate is not None]
+        assert len(dense) == 2 + 4 * (n - 1)
+        assert {circuit.gates[i].kind for i in dense} == {GateKind.SX}
+        assert len(plan.steps) - len(dense) <= len(dense) + 1
